@@ -9,10 +9,12 @@
 //
 // Convert mode parses every benchmark result line (including custom
 // b.ReportMetric columns) plus the pkg: headers, and stamps the file
-// with a machine fingerprint (GOOS/GOARCH/CPU count/CPU model/Go
-// version) so trajectory files from different hosts are never compared
-// silently. Compare mode diffs ns/op for benchmarks present in both
-// files and exits nonzero if any regresses past the threshold ratio;
+// with a machine fingerprint (GOOS/GOARCH/CPU count/GOMAXPROCS/CPU
+// model/Go version) so trajectory files from different hosts are never
+// compared silently. Compare mode diffs ns/op for benchmarks present in
+// both files, matched by package and by name without go test's -N
+// GOMAXPROCS suffix, and exits nonzero if any regresses past the
+// threshold ratio;
 // alloc counts are compared exactly (a new steady-state allocation is a
 // regression at any magnitude).
 package main
@@ -40,10 +42,14 @@ type File struct {
 
 // Machine fingerprints the host the numbers came from.
 type Machine struct {
-	GOOS     string `json:"goos"`
-	GOARCH   string `json:"goarch"`
-	NumCPU   int    `json:"num_cpu"`
-	CPUModel string `json:"cpu_model,omitempty"`
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	NumCPU int    `json:"num_cpu"`
+	// GOMAXPROCS the benchmarks ran with, read from the -N suffix go
+	// test appends to their names (no suffix means 1). Absent from
+	// snapshots older than the field.
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPUModel   string `json:"cpu_model,omitempty"`
 }
 
 // Benchmark is one parsed result line.
@@ -118,6 +124,9 @@ func convert(inPath, outPath string) error {
 			continue
 		}
 		b.Package = pkg
+		if snap.Machine.GOMAXPROCS == 0 {
+			_, snap.Machine.GOMAXPROCS = splitBenchName(b.Name)
+		}
 		snap.Benchmarks = append(snap.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
@@ -245,12 +254,20 @@ var noiseWaivers = map[string]noiseWaiver{
 // appends ("BenchmarkPadInto-8" -> "BenchmarkPadInto"); names without a
 // numeric suffix pass through unchanged.
 func baseBenchName(name string) string {
+	base, _ := splitBenchName(name)
+	return base
+}
+
+// splitBenchName splits a benchmark name into its base name and the
+// GOMAXPROCS go test ran it with. go test appends -N only when
+// GOMAXPROCS is not 1, so a name without a numeric suffix ran with 1.
+func splitBenchName(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }
 
 func compareFiles(oldPath, newPath string, threshold float64) int {
@@ -276,15 +293,19 @@ func compareSnapshots(w io.Writer, oldF, newF File, threshold float64) int {
 			oldF.Machine, newF.Machine)
 	}
 
+	// Match on the base name: snapshots taken at different GOMAXPROCS
+	// name the same benchmark differently (BenchmarkPadInto on one CPU,
+	// BenchmarkPadInto-2 on two), and the fingerprint note above already
+	// flags the difference.
 	oldByKey := map[string]Benchmark{}
 	for _, b := range oldF.Benchmarks {
-		oldByKey[b.Package+" "+b.Name] = b
+		oldByKey[b.Package+" "+baseBenchName(b.Name)] = b
 	}
 
 	regressions := 0
 	compared := 0
 	for _, nb := range newF.Benchmarks {
-		ob, ok := oldByKey[nb.Package+" "+nb.Name]
+		ob, ok := oldByKey[nb.Package+" "+baseBenchName(nb.Name)]
 		if !ok {
 			continue
 		}

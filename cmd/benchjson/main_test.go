@@ -237,3 +237,53 @@ func TestAllocsAllowed(t *testing.T) {
 		}
 	}
 }
+
+// Snapshots from hosts with different GOMAXPROCS name the same benchmark
+// with different -N suffixes (or none, at 1). Compare must still pair
+// them, and convert must record the GOMAXPROCS the suffix shows.
+func TestCompareAcrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(name, content string) (string, File) {
+		raw := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(raw, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, name+".json")
+		if err := convert(raw, out); err != nil {
+			t.Fatal(err)
+		}
+		f, err := load(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, f
+	}
+	oneCPU, oneF := snapshot("one", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto   1000   100.0 ns/op   0 B/op   0 allocs/op
+BenchmarkCachedPadHit-1   2000   50.0 ns/op   0 B/op   0 allocs/op
+`)
+	twoCPU, twoF := snapshot("two", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   110.0 ns/op   0 B/op   0 allocs/op
+BenchmarkCachedPadHit-2   2000   45.0 ns/op   0 B/op   0 allocs/op
+`)
+	if oneF.Machine.GOMAXPROCS != 1 || twoF.Machine.GOMAXPROCS != 2 {
+		t.Fatalf("GOMAXPROCS fingerprints = %d, %d; want 1, 2", oneF.Machine.GOMAXPROCS, twoF.Machine.GOMAXPROCS)
+	}
+	var buf strings.Builder
+	if code := compareSnapshots(&buf, oneF, twoF, 1.30); code != 0 {
+		t.Fatalf("1-CPU vs 2-CPU compare exit = %d, want 0\n%s", code, buf.String())
+	}
+	if !strings.Contains(buf.String(), "compared 2 benchmarks, 0 regressions") {
+		t.Fatalf("suffixes kept the snapshots apart:\n%s", buf.String())
+	}
+	// A regression across the suffix change is still caught.
+	slow, _ := snapshot("slow", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   200.0 ns/op   0 B/op   0 allocs/op
+`)
+	if code := compareFiles(oneCPU, slow, 1.30); code != 1 {
+		t.Fatalf("2x slowdown across GOMAXPROCS exit = %d, want 1", code)
+	}
+	if code := compareFiles(twoCPU, oneCPU, 1.30); code != 0 {
+		t.Fatalf("2-CPU vs 1-CPU compare exit = %d, want 0", code)
+	}
+}

@@ -71,6 +71,10 @@ func main() {
 		os.Exit(2)
 	}
 	o.IntegrityEngine = engine
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := profCfg.Start()
 	if err != nil {

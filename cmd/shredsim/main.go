@@ -144,6 +144,10 @@ func main() {
 		MCWorkers: *mcWorkers, Banks: *banks, BankQueueDepth: *bankQueue, BankDrainBatch: *bankDrain,
 		IntegrityEngine: engine,
 	}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "shredsim: %v\n", err)
+		os.Exit(2)
+	}
 	tweak := exper.MachineTweaks{
 		DEUCE:            *deuce,
 		Integrity:        *integrity,

@@ -1,20 +1,25 @@
-// Package aes implements the AES block cipher (FIPS-197) from scratch.
+// Package aes is the block cipher behind the counter-mode memory
+// encryption engine.
 //
 // The secure memory controller uses AES in counter mode: the controller
 // encrypts an initialization vector to produce a one-time pad and XORs the
 // pad with the data (paper §2.2, Figure 2). Counter mode only ever invokes
-// the forward (encryption) direction of the block cipher, but the inverse
-// cipher is implemented as well so the package is complete and testable
-// against published vectors in both directions.
+// the forward direction of the block cipher.
 //
-// The implementation is a straightforward byte-oriented rendering of the
-// specification (SubBytes / ShiftRows / MixColumns / AddRoundKey). It is
-// deliberately simple rather than table-optimized: the simulator's hot
-// paths cache pads at the block level, and correctness is cross-checked
-// against FIPS-197 vectors and crypto/aes in the tests.
+// Pads come from crypto/aes: Encrypt and EncryptBlocks call a standard
+// library block built once per Cipher, which uses the host's AES
+// instructions where it has them. The package also carries a from-scratch,
+// byte-oriented rendering of FIPS-197 (key expansion, SubBytes / ShiftRows
+// / MixColumns / AddRoundKey, and the inverse cipher). That code is the
+// test reference: EncryptRef and Decrypt run it, and the tests pin
+// Encrypt to it and both to the published FIPS-197 vectors.
 package aes
 
-import "fmt"
+import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
@@ -72,8 +77,9 @@ func mul(a, b byte) byte {
 // Cipher is an expanded-key AES instance. It is safe for concurrent use:
 // all methods are read-only with respect to the receiver.
 type Cipher struct {
-	rounds int        // 10, 12 or 14
-	rk     [60]uint32 // round keys, 4*(rounds+1) words
+	block  cipher.Block // crypto/aes: the pad-generation path
+	rounds int          // 10, 12 or 14
+	rk     [60]uint32   // reference round keys, 4*(rounds+1) words
 }
 
 // New creates a Cipher from a 16-, 24- or 32-byte key.
@@ -102,6 +108,11 @@ func New(key []byte) (*Cipher, error) {
 		}
 		c.rk[i] = c.rk[i-nk] ^ t
 	}
+	block, err := stdaes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("aes: %w", err)
+	}
+	c.block = block
 	return c, nil
 }
 
@@ -202,5 +213,50 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	invShiftRows(&s)
 	invSubBytes(&s)
 	c.addRoundKey(&s, 0)
+	copy(dst[:16], s[:])
+}
+
+// Encrypt encrypts one 16-byte block from src into dst. dst and src may
+// overlap entirely; both must be at least BlockSize bytes.
+func (c *Cipher) Encrypt(dst, src []byte) {
+	if len(src) < BlockSize || len(dst) < BlockSize {
+		panic("aes: input not full block")
+	}
+	c.block.Encrypt(dst, src)
+}
+
+// EncryptBlocks encrypts len(src)/BlockSize consecutive 16-byte blocks
+// from src into dst. Counter-mode pad generation uses it to produce all
+// four chunks of a 64-byte block pad in one call. Partial trailing bytes
+// are ignored; dst must hold at least as many whole blocks as src.
+func (c *Cipher) EncryptBlocks(dst, src []byte) {
+	n := len(src) / BlockSize * BlockSize
+	if len(dst) < n {
+		panic("aes: dst shorter than src blocks")
+	}
+	for off := 0; off < n; off += BlockSize {
+		c.block.Encrypt(dst[off:off+BlockSize], src[off:off+BlockSize])
+	}
+}
+
+// EncryptRef is the byte-oriented reference implementation of the forward
+// cipher (SubBytes/ShiftRows/MixColumns/AddRoundKey exactly as FIPS-197
+// writes them). The tests cross-check Encrypt against it.
+func (c *Cipher) EncryptRef(dst, src []byte) {
+	if len(src) < BlockSize || len(dst) < BlockSize {
+		panic("aes: input not full block")
+	}
+	var s state
+	copy(s[:], src[:16])
+	c.addRoundKey(&s, 0)
+	for round := 1; round < c.rounds; round++ {
+		subBytes(&s)
+		shiftRows(&s)
+		mixColumns(&s)
+		c.addRoundKey(&s, round)
+	}
+	subBytes(&s)
+	shiftRows(&s)
+	c.addRoundKey(&s, c.rounds)
 	copy(dst[:16], s[:])
 }

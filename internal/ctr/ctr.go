@@ -111,22 +111,26 @@ func (cb *CounterBlock) Shredded(i int) bool { return cb.Minor[i] == MinorShredd
 
 // Encode packs the counter block into its 64-byte memory representation:
 // 8 bytes of major counter followed by 64 seven-bit minor counters packed
-// into 56 bytes.
+// little-endian into 56 bytes (minor i at bits 7i..7i+6 of out[8:]).
+//
+// Eight 7-bit minors fill exactly 7 bytes, so the minors are packed a
+// group of eight at a time: one 8-byte load of the minor array, a
+// shift/mask gather into a 56-bit word, and one 8-byte store. Bit 7 of
+// each minor is masked off.
 func (cb *CounterBlock) Encode() [CounterBlockSize]byte {
 	var out [CounterBlockSize]byte
 	binary.LittleEndian.PutUint64(out[:8], cb.Major)
-	// Pack minors 7 bits at a time into out[8:64].
-	bitPos := 0
-	for _, m := range cb.Minor {
-		byteIdx := 8 + bitPos/8
-		bitOff := bitPos % 8
-		v := uint16(m&MinorMax) << bitOff
-		out[byteIdx] |= byte(v)
-		if bitOff > 1 { // spills into the next byte
-			out[byteIdx+1] |= byte(v >> 8)
-		}
-		bitPos += MinorBits
+	var w uint64
+	for g := 0; g < 7; g++ {
+		w = gather56(binary.LittleEndian.Uint64(cb.Minor[8*g:]))
+		// The store's eighth byte is zero and lands on the first byte of
+		// group g+1, which the next store overwrites.
+		binary.LittleEndian.PutUint64(out[8+7*g:], w)
 	}
+	// The last group ends at out[63]: store it one byte lower, carrying
+	// group 6's top byte through.
+	last := gather56(binary.LittleEndian.Uint64(cb.Minor[56:]))
+	binary.LittleEndian.PutUint64(out[56:], last<<8|w>>48)
 	return out
 }
 
@@ -134,18 +138,29 @@ func (cb *CounterBlock) Encode() [CounterBlockSize]byte {
 func DecodeCounterBlock(raw [CounterBlockSize]byte) CounterBlock {
 	var cb CounterBlock
 	cb.Major = binary.LittleEndian.Uint64(raw[:8])
-	bitPos := 0
-	for i := range cb.Minor {
-		byteIdx := 8 + bitPos/8
-		bitOff := bitPos % 8
-		v := uint16(raw[byteIdx]) >> bitOff
-		if bitOff > 1 {
-			v |= uint16(raw[byteIdx+1]) << (8 - bitOff)
-		}
-		cb.Minor[i] = uint8(v & MinorMax)
-		bitPos += MinorBits
+	for g := 0; g < 7; g++ {
+		w := binary.LittleEndian.Uint64(raw[8+7*g:]) & (1<<56 - 1)
+		binary.LittleEndian.PutUint64(cb.Minor[8*g:], scatter56(w))
 	}
+	binary.LittleEndian.PutUint64(cb.Minor[56:], scatter56(binary.LittleEndian.Uint64(raw[56:])>>8))
 	return cb
+}
+
+// gather56 packs the low 7 bits of each of v's eight bytes into a 56-bit
+// word, byte j landing at bits 7j..7j+6. The first step's masks drop
+// every byte's bit 7.
+func gather56(v uint64) uint64 {
+	v = v&0x007f007f007f007f | v&0x7f007f007f007f00>>1
+	v = v&0x00003fff00003fff | v&0x3fff00003fff0000>>2
+	return v&0x000000000fffffff | v&0x0fffffff00000000>>4
+}
+
+// scatter56 is gather56's inverse: 7-bit field j of the 56-bit word w
+// becomes byte j of the result, with bit 7 clear.
+func scatter56(w uint64) uint64 {
+	w = w&0x000000000fffffff | w&0x00fffffff0000000<<4
+	w = w&0x00003fff00003fff | w&0x0fffc0000fffc000<<2
+	return w&0x007f007f007f007f | w&0x3f803f803f803f80<<1
 }
 
 // IV is the 16-byte initialization vector for one 16-byte pad chunk.
@@ -198,12 +213,16 @@ type padEntry struct {
 // system-wide memory key (the paper's design deliberately shares one key —
 // §4.2 discusses why per-process keys are impractical).
 //
-// The engine keeps a direct-mapped cache of recently generated pads and a
-// scratch IV buffer, so it is not safe for concurrent use; the simulator
-// gives each machine its own engine.
+// The engine keeps a direct-mapped cache of recently generated pads and
+// scratch IV and pad buffers, so it is not safe for concurrent use; the
+// simulator gives each machine its own engine.
 type Engine struct {
-	cipher             *aes.Cipher
-	ivs                [addr.BlockSize]byte // scratch: four 16-byte IVs per block pad
+	cipher *aes.Cipher
+	// Scratch buffers: four 16-byte IVs per block pad, and the pad they
+	// encrypt to. The cipher is reached through an interface, so any
+	// buffer handed to it escapes; keeping them in the engine keeps pad
+	// generation allocation-free.
+	ivs, out           [addr.BlockSize]byte
 	pads               [padCacheSize]padEntry
 	padHits, padMisses uint64
 }
@@ -222,12 +241,13 @@ func NewEngine(key []byte) (*Engine, error) {
 // per 16-byte chunk, no caching. PadInto/CachedPad are the fast paths;
 // the differential tests pin them bit-identical to this.
 func (e *Engine) Pad(page addr.PageNum, blockIdx int, major uint64, minor uint8) [addr.BlockSize]byte {
-	var pad [addr.BlockSize]byte
 	for chunk := 0; chunk < addr.BlockSize/aes.BlockSize; chunk++ {
 		iv := MakeIV(page, blockIdx, major, minor, chunk)
-		e.cipher.Encrypt(pad[chunk*aes.BlockSize:], iv[:])
+		off := chunk * aes.BlockSize
+		copy(e.ivs[off:], iv[:])
+		e.cipher.Encrypt(e.out[off:], e.ivs[off:])
 	}
-	return pad
+	return e.out
 }
 
 // PadInto computes the 64-byte pad into dst with one batched AES pass:
@@ -269,10 +289,10 @@ func (e *Engine) PadCacheStats() (hits, misses uint64) { return e.padHits, e.pad
 // Schemes that encrypt sub-block regions under different counters (e.g.
 // DEUCE) use it to avoid generating the chunks they do not need.
 func (e *Engine) PadChunk(page addr.PageNum, blockIdx int, major uint64, minor uint8, chunk int) [aes.BlockSize]byte {
-	var pad [aes.BlockSize]byte
 	iv := MakeIV(page, blockIdx, major, minor, chunk)
-	e.cipher.Encrypt(pad[:], iv[:])
-	return pad
+	copy(e.ivs[:], iv[:])
+	e.cipher.Encrypt(e.out[:], e.ivs[:])
+	return [aes.BlockSize]byte(e.out[:aes.BlockSize])
 }
 
 // Apply XORs the pad for (page, blockIdx, major, minor) into the 64-byte

@@ -130,6 +130,17 @@ func TestPadFastPathsZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("CachedPad (miss path) allocates %v per call, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() {
+		dst = e.Pad(42, 7, 3, 1)
+	}); n != 0 {
+		t.Fatalf("Pad allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		chunk := e.PadChunk(42, 7, 3, 1, 2)
+		dst[0] = chunk[0]
+	}); n != 0 {
+		t.Fatalf("PadChunk allocates %v per call, want 0", n)
+	}
 }
 
 // BenchmarkPadInto measures batched pad generation (the miss-path cost

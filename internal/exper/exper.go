@@ -73,6 +73,21 @@ type Options struct {
 // cores with the hierarchy scaled by 8.
 func DefaultOptions() Options { return Options{Cores: 8, Scale: 8} }
 
+// Validate reports the first machine dimension in o the model cannot
+// build, as a *sim.SizeError: Cores must be 1..hier.MaxCores and Scale at
+// least 1. The command-line tools call it on their flags, so asking for
+// zero cores is an error rather than the default; library callers that
+// leave a field zero get DefaultOptions' value for it instead.
+func (o Options) Validate() error {
+	if err := sim.CheckCores(o.Cores); err != nil {
+		return err
+	}
+	if o.Scale < 1 {
+		return &sim.SizeError{Field: "scale", Value: o.Scale, Min: 1}
+	}
+	return nil
+}
+
 func (o Options) normalized() Options {
 	if o.Cores <= 0 {
 		o.Cores = 8

@@ -1,8 +1,11 @@
 package exper
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"silentshredder/internal/sim"
 )
 
 func quickOpts() Options { return Options{Cores: 2, Scale: 64, Quick: true} }
@@ -328,5 +331,25 @@ func TestAblationWQ(t *testing.T) {
 	}
 	if !strings.Contains(AblationWQTable(rows).String(), "write queue") {
 		t.Fatal("table malformed")
+	}
+}
+
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("DefaultOptions: %v", err)
+	}
+	for _, tc := range []struct {
+		o     Options
+		field string
+	}{
+		{Options{Cores: 0, Scale: 8}, "cores"},
+		{Options{Cores: 65, Scale: 8}, "cores"},
+		{Options{Cores: 8, Scale: 0}, "scale"},
+		{Options{Cores: 8, Scale: -1}, "scale"},
+	} {
+		var se *sim.SizeError
+		if err := tc.o.Validate(); !errors.As(err, &se) || se.Field != tc.field {
+			t.Errorf("%+v: Validate = %v, want a *sim.SizeError for %s", tc.o, err, tc.field)
+		}
 	}
 }

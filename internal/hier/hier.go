@@ -41,6 +41,10 @@ type Config struct {
 	NTStoreCycles clock.Cycles
 }
 
+// MaxCores is the most cores a hierarchy supports: the directory keeps
+// one sharer bit per core in a uint64.
+const MaxCores = 64
+
 // Table1Config returns the paper's Table 1 hierarchy for n cores.
 func Table1Config(n int) Config {
 	return Config{
@@ -109,6 +113,30 @@ func (d *directory) lookup(a addr.Phys) (*dirEntry, bool) {
 		return nil, false
 	}
 	return &dp.e[bi], true
+}
+
+// holders returns block a's sharer mask: the cores whose private caches
+// hold a. CheckInvariants pins the mask to the actual holders, so
+// back-invalidation visits only these cores (the directory doubles as a
+// snoop filter).
+func (d *directory) holders(a addr.Phys) uint64 {
+	if de, ok := d.lookup(a); ok {
+		return de.sharers
+	}
+	return 0
+}
+
+// pageHolders returns the union of the sharer masks of page p's blocks.
+func (d *directory) pageHolders(p addr.PageNum) uint64 {
+	dp := d.page(p)
+	if dp == nil {
+		return 0
+	}
+	var mask uint64
+	for rem := dp.present; rem != 0; rem &= rem - 1 {
+		mask |= dp.e[bits.TrailingZeros64(rem)].sharers
+	}
+	return mask
 }
 
 // entry returns the entry for block a, creating it if needed.
@@ -220,7 +248,7 @@ func New(cfg Config, mc *memctrl.Controller) *Hierarchy {
 	if cfg.Cores <= 0 {
 		panic("hier: need at least one core")
 	}
-	if cfg.Cores > 64 {
+	if cfg.Cores > MaxCores {
 		panic("hier: directory bitmask supports at most 64 cores")
 	}
 	h := &Hierarchy{
@@ -388,7 +416,8 @@ func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 	h.pageInvals.Inc()
 	msgs := 0
-	for c := 0; c < h.cfg.Cores; c++ {
+	for m := h.dir.pageHolders(p); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		msgs += h.l1[c].InvalidatePageCount(p)
 		msgs += h.l2[c].InvalidatePageCount(p)
 	}
@@ -422,6 +451,19 @@ func (h *Hierarchy) intervene(a addr.Phys, de *dirEntry) {
 	de.owner = -1
 }
 
+// discardHolders invalidates a from the private caches of every core the
+// directory lists as holding it, returning whether a dirty copy was
+// discarded. It leaves the directory entry to the caller.
+func (h *Hierarchy) discardHolders(a addr.Phys) bool {
+	dirty := false
+	for m := h.dir.holders(a); m != 0; m &= m - 1 {
+		if h.discardPrivate(bits.TrailingZeros64(m), a) {
+			dirty = true
+		}
+	}
+	return dirty
+}
+
 // discardPrivate invalidates a from core c's private caches, returning
 // whether a dirty copy was discarded.
 func (h *Hierarchy) discardPrivate(c int, a addr.Phys) bool {
@@ -436,9 +478,7 @@ func (h *Hierarchy) discardPrivate(c int, a addr.Phys) bool {
 }
 
 func (h *Hierarchy) discardEverywhere(a addr.Phys) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		h.discardPrivate(c, a)
-	}
+	h.discardHolders(a)
 	h.l3.Invalidate(a)
 	h.l4.Invalidate(a)
 	h.dir.remove(a)
@@ -507,12 +547,7 @@ func (h *Hierarchy) insertL3(a addr.Phys, dirty bool) {
 		return
 	}
 	va := v.Addr()
-	d := v.Dirty
-	for c := 0; c < h.cfg.Cores; c++ {
-		if h.discardPrivate(c, va) {
-			d = true
-		}
-	}
+	d := h.discardHolders(va) || v.Dirty
 	h.dir.remove(va)
 	if d {
 		if l := h.l4.Probe(va); l != nil {
@@ -531,13 +566,8 @@ func (h *Hierarchy) insertL4(a addr.Phys, dirty bool) {
 		return
 	}
 	va := v.Addr()
-	d := v.Dirty
 	// Back-invalidate everything above (inclusion).
-	for c := 0; c < h.cfg.Cores; c++ {
-		if h.discardPrivate(c, va) {
-			d = true
-		}
-	}
+	d := h.discardHolders(va) || v.Dirty
 	if l, ok := h.l3.Invalidate(va); ok && l.Dirty {
 		d = true
 	}
@@ -554,12 +584,7 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 	dirty := 0
 	for i := 0; i < addr.BlocksPerPage; i++ {
 		a := p.BlockAddr(i)
-		wasDirty := false
-		for c := 0; c < h.cfg.Cores; c++ {
-			if h.discardPrivate(c, a) {
-				wasDirty = true
-			}
-		}
+		wasDirty := h.discardHolders(a)
 		if l, ok := h.l3.Invalidate(a); ok && l.Dirty {
 			wasDirty = true
 		}

@@ -152,8 +152,38 @@ type Machine struct {
 	spans   *span.Recorder
 }
 
-// New builds a machine from cfg.
+// SizeError reports a machine dimension outside the range the model can
+// build: a core count the directory's sharer mask cannot hold, or a
+// cache scale below 1.
+type SizeError struct {
+	Field string // "cores" or "scale"
+	Value int
+	Min   int
+	Max   int // 0: no upper bound
+}
+
+func (e *SizeError) Error() string {
+	if e.Max == 0 {
+		return fmt.Sprintf("invalid %s %d: want at least %d", e.Field, e.Value, e.Min)
+	}
+	return fmt.Sprintf("invalid %s %d: want %d..%d", e.Field, e.Value, e.Min, e.Max)
+}
+
+// CheckCores returns a *SizeError unless n is a core count a hierarchy
+// supports (1..hier.MaxCores).
+func CheckCores(n int) error {
+	if n < 1 || n > hier.MaxCores {
+		return &SizeError{Field: "cores", Value: n, Min: 1, Max: hier.MaxCores}
+	}
+	return nil
+}
+
+// New builds a machine from cfg. A core count outside 1..hier.MaxCores is
+// a *SizeError.
 func New(cfg Config) (*Machine, error) {
+	if err := CheckCores(cfg.Hier.Cores); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if cfg.CheckOracle {
 		cfg.StoreData = true
 		if err := validateCheckConfig(cfg); err != nil {

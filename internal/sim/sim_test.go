@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -27,6 +28,25 @@ func TestTable1ConfigShape(t *testing.T) {
 	}
 	if cfg.MemCtrl.CounterCache.Size != 4<<20 {
 		t.Fatalf("counter cache = %d", cfg.MemCtrl.CounterCache.Size)
+	}
+}
+
+// A core count the directory's 64-bit sharer mask cannot hold is a typed
+// configuration error, not a panic inside the hierarchy.
+func TestNewRejectsCoreCounts(t *testing.T) {
+	for _, cores := range []int{0, -1, 65, 100000} {
+		cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+		cfg.Hier.Cores = cores
+		m, err := New(cfg)
+		var se *SizeError
+		if m != nil || !errors.As(err, &se) || se.Field != "cores" || se.Value != cores {
+			t.Errorf("cores=%d: New = %v, %v; want a *SizeError for cores", cores, m, err)
+		}
+	}
+	cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+	cfg.Hier.Cores = 64
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("cores=64: %v", err)
 	}
 }
 
