@@ -151,7 +151,7 @@ test-record:
 # masked benchmark failures behind tee's exit status; writing the file
 # directly and catting it afterwards preserves both the transcript and
 # the exit code.
-BENCH_JSON ?= BENCH_12.json
+BENCH_JSON ?= BENCH_13.json
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./... > bench_output.txt 2>&1 \
 		|| { cat bench_output.txt; exit 1; }
@@ -166,9 +166,9 @@ bench-json:
 
 # Diff two benchmark snapshots; fails on any ns/op regression past
 # THRESHOLD (ratio) or any allocs/op increase.
-#   make bench-compare BASE=BENCH_9.json NEW=BENCH_12.json [THRESHOLD=1.30]
-BASE ?= BENCH_9.json
-NEW ?= BENCH_12.json
+#   make bench-compare BASE=BENCH_12.json NEW=BENCH_13.json [THRESHOLD=1.30]
+BASE ?= BENCH_12.json
+NEW ?= BENCH_13.json
 THRESHOLD ?= 1.30
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) $(BASE) $(NEW)

@@ -10,7 +10,6 @@
 package silentshredder_test
 
 import (
-	"sync"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -27,33 +26,30 @@ func benchOpts() exper.Options {
 // spectrum (full sweeps belong to cmd/experiments).
 var benchWorkloads = []string{"h264", "gcc", "mcf", "lbm", "pagerank"}
 
-// The five comparison benchmarks (Fig 8-11 and the sweep itself) all
-// report metrics off the same baseline-vs-Silent-Shredder sweep. The
-// sweep is deterministic, so it runs once per `go test -bench` process;
-// BenchmarkComparisonSweep is the one that times it.
-var (
-	cmpOnce    sync.Once
-	cmpResults []exper.Result
-)
-
-func comparisonMetrics(b *testing.B) []exper.Result {
-	b.Helper()
-	cmpOnce.Do(func() { cmpResults = exper.CompareAll(benchOpts(), benchWorkloads) })
-	if len(cmpResults) == 0 {
-		b.Fatalf("CompareAll(%v) returned no results", benchWorkloads)
-	}
-	return cmpResults
-}
-
 // BenchmarkComparisonSweep times the full comparison sweep end to end —
 // the simulator's hot path (every workload under both controller modes).
-// DESIGN.md §8's end-to-end speedup is this benchmark at sweep scale.
+// DESIGN.md §8's end-to-end speedup is this benchmark at sweep scale. It
+// also reports the sweep's Fig 8-11 headline means: write savings
+// (paper: 48.6%), read savings (paper: 50.3%), main-memory read speedup
+// (paper: 3.3x) and relative IPC (paper: 1.064).
 func BenchmarkComparisonSweep(b *testing.B) {
+	var rs []exper.Result
 	for i := 0; i < b.N; i++ {
-		if rs := exper.CompareAll(benchOpts(), benchWorkloads); len(rs) == 0 {
+		if rs = exper.CompareAll(benchOpts(), benchWorkloads); len(rs) == 0 {
 			b.Fatalf("CompareAll(%v) returned no results", benchWorkloads)
 		}
 	}
+	var ws, reads, sp, rel []float64
+	for _, r := range rs {
+		ws = append(ws, r.WriteSavings)
+		reads = append(reads, r.ReadSavings)
+		sp = append(sp, r.ReadSpeedup)
+		rel = append(rel, r.RelativeIPC)
+	}
+	b.ReportMetric(stats.ArithMean(ws), "write_savings")
+	b.ReportMetric(stats.ArithMean(reads), "read_savings")
+	b.ReportMetric(stats.GeoMean(sp), "read_speedup")
+	b.ReportMetric(stats.GeoMean(rel), "relative_ipc")
 }
 
 // BenchmarkTable2InitializationTechniques regenerates the measured
@@ -100,65 +96,6 @@ func BenchmarkFig5ZeroingWriteShare(b *testing.B) {
 		ks = append(ks, r.KernelZeroShare)
 	}
 	b.ReportMetric(stats.ArithMean(ks), "kernel_zero_write_share")
-}
-
-// BenchmarkFig8WriteSavings reports the average main-memory write
-// savings (paper: 48.6%).
-func BenchmarkFig8WriteSavings(b *testing.B) {
-	results := comparisonMetrics(b)
-	var m float64
-	for i := 0; i < b.N; i++ {
-		var ws []float64
-		for _, r := range results {
-			ws = append(ws, r.WriteSavings)
-		}
-		m = stats.ArithMean(ws)
-	}
-	b.ReportMetric(m, "write_savings")
-}
-
-// BenchmarkFig9ReadSavings reports the average read-traffic savings
-// (paper: 50.3%).
-func BenchmarkFig9ReadSavings(b *testing.B) {
-	results := comparisonMetrics(b)
-	var m float64
-	for i := 0; i < b.N; i++ {
-		var rs []float64
-		for _, r := range results {
-			rs = append(rs, r.ReadSavings)
-		}
-		m = stats.ArithMean(rs)
-	}
-	b.ReportMetric(m, "read_savings")
-}
-
-// BenchmarkFig10ReadSpeedup reports the mean main-memory read speedup
-// (paper: 3.3x).
-func BenchmarkFig10ReadSpeedup(b *testing.B) {
-	results := comparisonMetrics(b)
-	var m float64
-	for i := 0; i < b.N; i++ {
-		var sp []float64
-		for _, r := range results {
-			sp = append(sp, r.ReadSpeedup)
-		}
-		m = stats.GeoMean(sp)
-	}
-	b.ReportMetric(m, "read_speedup")
-}
-
-// BenchmarkFig11RelativeIPC reports the mean relative IPC (paper: 1.064).
-func BenchmarkFig11RelativeIPC(b *testing.B) {
-	results := comparisonMetrics(b)
-	var m float64
-	for i := 0; i < b.N; i++ {
-		var rel []float64
-		for _, r := range results {
-			rel = append(rel, r.RelativeIPC)
-		}
-		m = stats.GeoMean(rel)
-	}
-	b.ReportMetric(m, "relative_ipc")
 }
 
 // BenchmarkFig12CounterCacheSweep reports the miss-rate drop across the

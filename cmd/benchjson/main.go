@@ -221,35 +221,6 @@ func load(path string) (File, error) {
 	return f, nil
 }
 
-// noiseWaiver documents one benchmark whose ns/op comparison is
-// known-noisy for a structural reason: the waiver raises that
-// benchmark's regression threshold and prints the reason next to the
-// status, so a flagged-but-waived run is visibly waived rather than
-// silently green. Waivers loosen ns/op only; the alloc comparison stays
-// exact.
-type noiseWaiver struct {
-	// Threshold replaces the global -threshold for this benchmark when
-	// it is looser (a waiver can never tighten the gate).
-	Threshold float64
-	// Reason is printed with the waived status and should say why the
-	// noise is structural, not a regression.
-	Reason string
-}
-
-// noiseWaivers is keyed by the base benchmark name — the -N GOMAXPROCS
-// suffix stripped — because the committed snapshots are inconsistent
-// about it: package-level benchmarks run via the suite land without the
-// suffix (BENCH_9.json stores "BenchmarkFig10ReadSpeedup", package
-// silentshredder), while per-package runs carry "-8".
-var noiseWaivers = map[string]noiseWaiver{
-	"BenchmarkFig10ReadSpeedup": {
-		Threshold: 1.60,
-		Reason: "in-suite bandwidth steal: measures a latency microbenchmark while the " +
-			"sweep benchmarks saturate memory bandwidth around it; the PR 9 baseline " +
-			"bump read 1.47x in-suite but 1.1x when run solo",
-	},
-}
-
 // baseBenchName strips the trailing -N GOMAXPROCS suffix go test
 // appends ("BenchmarkPadInto-8" -> "BenchmarkPadInto"); names without a
 // numeric suffix pass through unchanged.
@@ -311,18 +282,11 @@ func compareSnapshots(w io.Writer, oldF, newF File, threshold float64) int {
 		}
 		compared++
 		ratio := nb.NsPerOp / ob.NsPerOp
-		limit := threshold
-		waiver, waived := noiseWaivers[baseBenchName(nb.Name)]
-		if waived && waiver.Threshold > limit {
-			limit = waiver.Threshold
-		}
 		status := "ok"
 		switch {
-		case ratio > limit:
+		case ratio > threshold:
 			status = "REGRESSION"
 			regressions++
-		case waived && ratio > threshold:
-			status = "ok (waived: " + waiver.Reason + ")"
 		case ratio < 1/threshold:
 			status = "improved"
 		}

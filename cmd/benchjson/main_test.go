@@ -143,66 +143,6 @@ BenchmarkUnrelated-8   10   1.0 ns/op
 	}
 }
 
-// TestNoiseWaivers: a waived benchmark may exceed the global threshold
-// up to its documented limit — reported as visibly waived, never
-// silently green — while unwaived benchmarks and the waiver's own limit
-// still gate. Matching strips the -N GOMAXPROCS suffix, since committed
-// snapshots carry it inconsistently (BENCH_9.json has the suite-level
-// Fig10 name bare).
-func TestNoiseWaivers(t *testing.T) {
-	if w, ok := noiseWaivers["BenchmarkFig10ReadSpeedup"]; !ok || w.Threshold < 1.30 {
-		t.Fatalf("Fig10 waiver missing or tighter than the default gate: %+v", w)
-	}
-	snap := func(fig10, other float64) File {
-		return File{Benchmarks: []Benchmark{
-			{Name: "BenchmarkFig10ReadSpeedup", Package: "silentshredder", NsPerOp: fig10},
-			{Name: "BenchmarkPadInto-8", Package: "silentshredder/internal/ctr", NsPerOp: other},
-		}}
-	}
-	base := snap(100, 100)
-	run := func(newF File) (int, string) {
-		var buf strings.Builder
-		code := compareSnapshots(&buf, base, newF, 1.30)
-		return code, buf.String()
-	}
-
-	// 1.50x on the waived benchmark: over the 1.30 gate, under the 1.60
-	// waiver — passes, and the report says so out loud.
-	code, out := run(snap(150, 100))
-	if code != 0 {
-		t.Fatalf("waived 1.50x exit = %d, want 0\n%s", code, out)
-	}
-	if !strings.Contains(out, "ok (waived: ") || !strings.Contains(out, "bandwidth steal") {
-		t.Fatalf("waived run not visibly waived:\n%s", out)
-	}
-
-	// Inside the global threshold the waiver text must NOT appear: plain ok.
-	if code, out = run(snap(110, 100)); code != 0 || strings.Contains(out, "waived") {
-		t.Fatalf("in-threshold run = %d, waiver text leaked:\n%s", code, out)
-	}
-
-	// Past the waiver's own limit it is a regression like any other.
-	if code, out = run(snap(170, 100)); code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("1.70x exit = %d, want 1:\n%s", code, out)
-	}
-
-	// The waiver is per-benchmark: the same ratio on an unwaived
-	// benchmark fails.
-	if code, out = run(snap(100, 150)); code != 1 {
-		t.Fatalf("unwaived 1.50x exit = %d, want 1:\n%s", code, out)
-	}
-
-	// Suffix form matches the same waiver entry.
-	suffixBase := File{Benchmarks: []Benchmark{
-		{Name: "BenchmarkFig10ReadSpeedup-8", Package: "silentshredder", NsPerOp: 100}}}
-	suffixNew := File{Benchmarks: []Benchmark{
-		{Name: "BenchmarkFig10ReadSpeedup-8", Package: "silentshredder", NsPerOp: 150}}}
-	var buf strings.Builder
-	if code := compareSnapshots(&buf, suffixBase, suffixNew, 1.30); code != 0 {
-		t.Fatalf("suffixed waived benchmark exit = %d, want 0\n%s", code, buf.String())
-	}
-}
-
 func TestBaseBenchName(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkPadInto-8":        "BenchmarkPadInto",

@@ -30,6 +30,11 @@ func TestBadMachineSizeFlags(t *testing.T) {
 		{"-cores 100000 fig8", "experiments: invalid cores 100000: want 1..64\n"},
 		{"-scale 0 fig8", "experiments: invalid scale 0: want at least 1\n"},
 		{"-scale -8 fig8", "experiments: invalid scale -8: want at least 1\n"},
+		{"-parallel -1 fig8", "experiments: invalid parallel -1: want at least 0\n"},
+		{"-mc-workers -2 fig8", "experiments: invalid mc-workers -2: want at least 0\n"},
+		{"-banks -3 fig8", "experiments: invalid banks -3: want at least 0\n"},
+		{"-bank-queue -1 fig8", "experiments: invalid bank-queue -1: want at least 0\n"},
+		{"-bank-drain -1 fig8", "experiments: invalid bank-drain -1: want at least 0\n"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^$")

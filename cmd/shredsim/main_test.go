@@ -30,6 +30,11 @@ func TestBadMachineSizeFlags(t *testing.T) {
 		{"-cores 100000", "shredsim: invalid cores 100000: want 1..64\n"},
 		{"-scale 0", "shredsim: invalid scale 0: want at least 1\n"},
 		{"-scale -8", "shredsim: invalid scale -8: want at least 1\n"},
+		{"-parallel -1", "shredsim: invalid parallel -1: want at least 0\n"},
+		{"-mc-workers -2", "shredsim: invalid mc-workers -2: want at least 0\n"},
+		{"-banks -3", "shredsim: invalid banks -3: want at least 0\n"},
+		{"-bank-queue -1", "shredsim: invalid bank-queue -1: want at least 0\n"},
+		{"-bank-drain -1", "shredsim: invalid bank-drain -1: want at least 0\n"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^$")

@@ -60,8 +60,8 @@ type Runtime struct {
 	// allocation-free (a Runtime is single-threaded by construction).
 	pattern  [addr.BlockSize]byte // memset fill pattern
 	blockBuf [addr.BlockSize]byte // LoadBytes per-block staging
-	wordBuf  [8]byte              // Load/Store staging (a local would
-	// escape: the checker hook takes the slice through an interface)
+	wordBuf  [8]byte              // a Load's bytes for the checker (a
+	// local would escape: the hook takes the slice through an interface)
 }
 
 // Checker observes a runtime's operations and validates its load results
@@ -213,12 +213,13 @@ func (rt *Runtime) Load(va addr.Virt) uint64 {
 	lat := klat + hlat
 	rt.spans.End(uint64(lat))
 	rt.cpu.Load(lat)
-	b := rt.wordBuf[:]
-	rt.k.Controller().Image().Read(pa, b)
+	v := rt.k.Controller().Image().ReadU64(pa)
 	if rt.check != nil {
+		b := rt.wordBuf[:]
+		binary.LittleEndian.PutUint64(b, v)
 		rt.check.CheckLoad(va, b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return v
 }
 
 // Store performs an 8-byte store.
@@ -234,9 +235,7 @@ func (rt *Runtime) Store(va addr.Virt, val uint64) {
 	// The span totals the core-visible cost; the hierarchy's busy
 	// cycles live in the segments (the write buffer hides them).
 	rt.spans.End(uint64(klat) + uint64(rt.storeOccupancy))
-	b := rt.wordBuf[:]
-	binary.LittleEndian.PutUint64(b, val)
-	rt.k.Controller().Image().Write(pa, b)
+	rt.k.Controller().Image().WriteU64(pa, val)
 	if klat > 0 {
 		rt.cpu.Stall(klat) // page-fault / TLB-walk time
 	}

@@ -2,6 +2,7 @@ package apprt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -189,5 +190,60 @@ func TestMemcpy(t *testing.T) {
 	rt.Memcpy(dst+7, src, 20)
 	if got := rt.LoadBytes(dst+7, 20); !bytes.Equal(got, []byte("copy me across pages")) {
 		t.Fatalf("memcpy = %q", got)
+	}
+}
+
+// wordChecker is a minimal Checker that compares each load's bytes with
+// the last value stored at that address.
+type wordChecker struct {
+	va   addr.Virt
+	want uint64
+	bad  int
+}
+
+func (c *wordChecker) Observe(op apprt.TraceOp) {
+	if op.Kind == apprt.TraceStore {
+		c.va, c.want = op.VA, op.Arg
+	}
+}
+
+func (c *wordChecker) ObserveStoreBytes(addr.Virt, []byte) {}
+
+func (c *wordChecker) CheckLoad(va addr.Virt, got []byte) {
+	if va == c.va && binary.LittleEndian.Uint64(got) != c.want {
+		c.bad++
+	}
+}
+
+// TestLoadStoreZeroAllocs pins the word fast path on a resident page at
+// zero host allocations, with and without a checker attached, and checks
+// that the checker sees the bytes the load returned.
+func TestLoadStoreZeroAllocs(t *testing.T) {
+	for _, withChecker := range []bool{false, true} {
+		_, rt := testRT(t)
+		chk := &wordChecker{}
+		if withChecker {
+			rt.SetChecker(chk)
+		}
+		va := rt.Malloc(addr.PageSize)
+		rt.Store(va+8, 1) // fault the page in and warm the caches
+		rt.Load(va + 8)
+		v := uint64(1)
+		allocs := testing.AllocsPerRun(200, func() {
+			v++
+			rt.Store(va+8, v)
+			if got := rt.Load(va + 8); got != v {
+				t.Fatalf("Load = %d, want %d", got, v)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("checker=%v: %v allocs per Store+Load, want 0", withChecker, allocs)
+		}
+		if withChecker && chk.va != va+8 {
+			t.Fatal("checker never observed the stores")
+		}
+		if chk.bad != 0 {
+			t.Fatalf("checker saw %d loads disagreeing with the last store", chk.bad)
+		}
 	}
 }

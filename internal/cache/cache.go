@@ -50,11 +50,19 @@ type Config struct {
 	HitLatency clock.Cycles
 }
 
-// Line is one cache line's metadata.
-type Line struct {
-	Tag   uint64 // block address >> BlockShift
+// Meta is the state a cache stores per way besides its tag. Lookup,
+// Probe and LookupOwned return a pointer to it; callers update State and
+// Dirty through that pointer.
+type Meta struct {
 	State State
 	Dirty bool
+}
+
+// Line is a line removed from the cache (an eviction victim, an
+// invalidated or flushed line): its tag plus the metadata it held.
+type Line struct {
+	Tag uint64 // block address >> BlockShift
+	Meta
 }
 
 // Addr returns the block address this line caches.
@@ -68,12 +76,13 @@ const invalidTag = ^uint64(0)
 //
 // The store is laid out structure-of-arrays for probe locality: tags
 // holds one word per way (an 8-way set's tags fill exactly one 64-byte
-// hardware cache line) and lines holds the State/Dirty metadata callers
-// mutate through the pointers Lookup/Probe return. Invalid ways carry
-// invalidTag in the mirror, so the probe scan is a bare word compare
-// with no validity test. Both arrays are set-major (set i occupies
-// [i*assoc, (i+1)*assoc)). Only Cache methods change which block a way
-// holds, so the mirror cannot go stale.
+// hardware cache line) and meta holds the 2-byte State/Dirty metadata
+// callers mutate through the pointers Lookup/Probe return. The tag lives
+// only in tags; the Line values Insert, Invalidate and FlushAll return
+// are rebuilt from it. Invalid ways carry invalidTag, so the probe scan
+// is a bare word compare with no validity test; their metadata is stale
+// and never read, since Insert overwrites it when it fills the way. Both
+// arrays are set-major (set i occupies [i*assoc, (i+1)*assoc)).
 //
 // LRU order is a permutation, not a clock: for assoc <= 8 each set has
 // one rank word in which byte i holds way i's recency rank (0 = least,
@@ -88,11 +97,10 @@ type Cache struct {
 	tags     []uint64 // tag per way, invalidTag when empty
 	rank     []uint64 // assoc <= 8: one recency-rank word per set
 	lrus     []uint64 // assoc > 8: replacement clock per way
-	lines    []Line   // State/Dirty per way (Tag kept in sync for Addr)
+	meta     []Meta   // State/Dirty per way
 	assoc    int
 	setMask  uint64
 	bodyMask uint64 // rank-word bytes that correspond to real ways
-	initRank uint64 // rank word of a freshly reset set
 	useClock uint64
 
 	hits, misses, evictions, dirtyEvictions stats.Counter
@@ -118,19 +126,19 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		tags:    tags,
-		lines:   make([]Line, nsets*cfg.Assoc),
+		meta:    make([]Meta, nsets*cfg.Assoc),
 		assoc:   cfg.Assoc,
 		setMask: uint64(nsets - 1),
 	}
 	if cfg.Assoc <= 8 {
-		c.initRank = ^uint64(0)
+		initRank := ^uint64(0)
 		for i := 0; i < cfg.Assoc; i++ {
-			c.initRank = c.initRank&^(0xff<<(8*uint(i))) | uint64(i)<<(8*uint(i))
+			initRank = initRank&^(0xff<<(8*uint(i))) | uint64(i)<<(8*uint(i))
 			c.bodyMask |= 0x80 << (8 * uint(i))
 		}
 		c.rank = make([]uint64, nsets)
 		for i := range c.rank {
-			c.rank[i] = c.initRank
+			c.rank[i] = initRank
 		}
 	} else {
 		c.lrus = make([]uint64, nsets*cfg.Assoc)
@@ -196,7 +204,7 @@ func (c *Cache) lruWay(si uint64) int {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.lines) / c.assoc }
+func (c *Cache) NumSets() int { return len(c.tags) / c.assoc }
 
 func tagOf(a addr.Phys) uint64 { return uint64(a) >> addr.BlockShift }
 
@@ -218,7 +226,7 @@ func (c *Cache) probeWay(a addr.Phys) int {
 // refreshing LRU order on a hit. It returns nil on a miss. The returned
 // pointer stays valid until the line is replaced; callers may update
 // State and Dirty through it.
-func (c *Cache) Lookup(a addr.Phys) *Line {
+func (c *Cache) Lookup(a addr.Phys) *Meta {
 	tag := tagOf(a)
 	si := tag & c.setMask
 	base := int(si) * c.assoc
@@ -226,14 +234,14 @@ func (c *Cache) Lookup(a addr.Phys) *Line {
 	if c.rank != nil {
 		if m := c.mruWay(si); tags[m] == tag {
 			c.hits.Inc()
-			return &c.lines[base+m]
+			return &c.meta[base+m]
 		}
 	}
 	for i := range tags {
 		if tags[i] == tag {
 			c.hits.Inc()
 			c.touch(si, i)
-			return &c.lines[base+i]
+			return &c.meta[base+i]
 		}
 	}
 	c.misses.Inc()
@@ -272,12 +280,12 @@ func (c *Cache) LookupHit(a addr.Phys) bool {
 // line. In every other case no statistics change; present reports
 // whether the block was cached at all (in any state), saving the caller
 // a second probe.
-func (c *Cache) LookupOwned(a addr.Phys) (l *Line, present bool) {
+func (c *Cache) LookupOwned(a addr.Phys) (l *Meta, present bool) {
 	w := c.probeWay(a)
 	if w < 0 {
 		return nil, false
 	}
-	l = &c.lines[w]
+	l = &c.meta[w]
 	if l.State != Modified && l.State != Exclusive {
 		return nil, true
 	}
@@ -289,9 +297,9 @@ func (c *Cache) LookupOwned(a addr.Phys) (l *Line, present bool) {
 
 // Probe finds the line caching block a without touching statistics or LRU
 // order. Coherence-directory and invalidation paths use it.
-func (c *Cache) Probe(a addr.Phys) *Line {
+func (c *Cache) Probe(a addr.Phys) *Meta {
 	if w := c.probeWay(a); w >= 0 {
-		return &c.lines[w]
+		return &c.meta[w]
 	}
 	return nil
 }
@@ -311,8 +319,7 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 	vi, sawInvalid := -1, false
 	for i := range tags {
 		if tags[i] == tag {
-			w := base + i
-			l := &c.lines[w]
+			l := &c.meta[base+i]
 			l.State = st
 			l.Dirty = l.Dirty || dirty
 			c.touch(si, i)
@@ -325,9 +332,8 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 	if !sawInvalid {
 		vi = c.lruWay(si)
 	}
-	w := base + vi
 	if tags[vi] != invalidTag {
-		victim, evicted = c.lines[w], true
+		victim, evicted = Line{Tag: tags[vi], Meta: c.meta[base+vi]}, true
 		c.evictions.Inc()
 		if victim.Dirty {
 			c.dirtyEvictions.Inc()
@@ -335,7 +341,7 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 	}
 	tags[vi] = tag
 	c.touch(si, vi)
-	c.lines[w] = Line{Tag: tag, State: st, Dirty: dirty}
+	c.meta[base+vi] = Meta{State: st, Dirty: dirty}
 	return victim, evicted
 }
 
@@ -344,9 +350,8 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 // present.
 func (c *Cache) Invalidate(a addr.Phys) (Line, bool) {
 	if w := c.probeWay(a); w >= 0 {
-		old := c.lines[w]
+		old := Line{Tag: c.tags[w], Meta: c.meta[w]}
 		c.tags[w] = invalidTag
-		c.lines[w] = Line{}
 		return old, true
 	}
 	return Line{}, false
@@ -380,7 +385,6 @@ func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
 		for i := range c.tags {
 			if c.tags[i]>>pageShift == pn {
 				c.tags[i] = invalidTag
-				c.lines[i] = Line{}
 				n++
 			}
 		}
@@ -394,7 +398,6 @@ func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
 		for i := range tags {
 			if tags[i] == tag {
 				tags[i] = invalidTag
-				c.lines[base+i] = Line{}
 				n++
 				break
 			}
@@ -405,28 +408,27 @@ func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
 
 // FlushAll invalidates every line, returning the dirty ones (their
 // addresses are recoverable via Line.Addr). Used to model crashes and
-// explicit cache flushes.
+// explicit cache flushes. Recency order is left as it is: every way is
+// refilled, and so touched, before it can be the LRU victim again, so
+// ranks older than the flush never decide an eviction.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
 	for i := range c.tags {
-		if c.tags[i] != invalidTag && c.lines[i].Dirty {
-			dirty = append(dirty, c.lines[i])
+		if c.tags[i] != invalidTag && c.meta[i].Dirty {
+			dirty = append(dirty, Line{Tag: c.tags[i], Meta: c.meta[i]})
 		}
 		c.tags[i] = invalidTag
-		c.lines[i] = Line{}
-	}
-	for i := range c.rank {
-		c.rank[i] = c.initRank
 	}
 	return dirty
 }
 
-// ForEachLine calls fn for every valid line, in set order. Invariant
-// sweeps use it; it touches neither statistics nor LRU state.
-func (c *Cache) ForEachLine(fn func(l *Line)) {
-	for i := range c.tags {
-		if c.tags[i] != invalidTag {
-			fn(&c.lines[i])
+// ForEachLine calls fn with the block address and metadata of every
+// valid line, in set order. Invariant sweeps use it; it touches neither
+// statistics nor LRU state.
+func (c *Cache) ForEachLine(fn func(a addr.Phys, m *Meta)) {
+	for i, tag := range c.tags {
+		if tag != invalidTag {
+			fn(addr.Phys(tag)<<addr.BlockShift, &c.meta[i])
 		}
 	}
 }

@@ -46,8 +46,8 @@ func TestLookupInsert(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits/misses = %d/%d", c.Hits(), c.Misses())
 	}
-	if l.Addr() != 0x40 {
-		t.Fatalf("Addr = %v", l.Addr())
+	if old, ok := c.Invalidate(0x40); !ok || old.Addr() != 0x40 || old.State != Exclusive {
+		t.Fatalf("Invalidate = %+v/%v, want the line at 0x40", old, ok)
 	}
 }
 

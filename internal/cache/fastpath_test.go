@@ -125,13 +125,13 @@ func TestForEachLine(t *testing.T) {
 	c.Insert(0x000, Modified, true)
 	c.Insert(0x040, Shared, false)
 	got := map[addr.Phys]State{}
-	c.ForEachLine(func(l *Line) { got[l.Addr()] = l.State })
+	c.ForEachLine(func(a addr.Phys, m *Meta) { got[a] = m.State })
 	if len(got) != 2 || got[0x000] != Modified || got[0x040] != Shared {
 		t.Fatalf("ForEachLine saw %v", got)
 	}
 	c.FlushAll()
 	n := 0
-	c.ForEachLine(func(*Line) { n++ })
+	c.ForEachLine(func(addr.Phys, *Meta) { n++ })
 	if n != 0 {
 		t.Fatalf("ForEachLine after FlushAll visited %d lines", n)
 	}

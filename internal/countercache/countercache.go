@@ -396,11 +396,11 @@ func (c *Cache) ForEachCurrent(fn func(p addr.PageNum, cb ctr.CounterBlock)) {
 func (c *Cache) CheckCoherence() error {
 	tagged := make(map[addr.PageNum]bool)
 	var err error
-	c.tags.ForEachLine(func(l *cache.Line) {
+	c.tags.ForEachLine(func(a addr.Phys, l *cache.Meta) {
 		if err != nil {
 			return
 		}
-		p := pageOfCtrAddr(l.Addr())
+		p := pageOfCtrAddr(a)
 		tagged[p] = true
 		cb, ok := c.cached[p]
 		if !ok || cb == nil {

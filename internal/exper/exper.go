@@ -74,16 +74,29 @@ type Options struct {
 func DefaultOptions() Options { return Options{Cores: 8, Scale: 8} }
 
 // Validate reports the first machine dimension in o the model cannot
-// build, as a *sim.SizeError: Cores must be 1..hier.MaxCores and Scale at
-// least 1. The command-line tools call it on their flags, so asking for
-// zero cores is an error rather than the default; library callers that
-// leave a field zero get DefaultOptions' value for it instead.
+// build, as a *sim.SizeError: Cores must be 1..hier.MaxCores, Scale at
+// least 1, and Parallel, MCWorkers, Banks, BankQueueDepth and
+// BankDrainBatch at least 0. The command-line tools call it on their
+// flags, so asking for zero cores is an error rather than the default;
+// library callers that leave a field zero get DefaultOptions' value for
+// it instead.
 func (o Options) Validate() error {
 	if err := sim.CheckCores(o.Cores); err != nil {
 		return err
 	}
 	if o.Scale < 1 {
 		return &sim.SizeError{Field: "scale", Value: o.Scale, Min: 1}
+	}
+	for _, err := range []error{
+		sim.CheckNonNegative("parallel", o.Parallel),
+		sim.CheckNonNegative("mc-workers", o.MCWorkers),
+		sim.CheckNonNegative("banks", o.Banks),
+		sim.CheckNonNegative("bank-queue", o.BankQueueDepth),
+		sim.CheckNonNegative("bank-drain", o.BankDrainBatch),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -346,6 +346,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Options{Cores: 65, Scale: 8}, "cores"},
 		{Options{Cores: 8, Scale: 0}, "scale"},
 		{Options{Cores: 8, Scale: -1}, "scale"},
+		{Options{Cores: 8, Scale: 8, Parallel: -1}, "parallel"},
+		{Options{Cores: 8, Scale: 8, MCWorkers: -2}, "mc-workers"},
+		{Options{Cores: 8, Scale: 8, Banks: -3}, "banks"},
+		{Options{Cores: 8, Scale: 8, BankQueueDepth: -1}, "bank-queue"},
+		{Options{Cores: 8, Scale: 8, BankDrainBatch: -1}, "bank-drain"},
 	} {
 		var se *sim.SizeError
 		if err := tc.o.Validate(); !errors.As(err, &se) || se.Field != tc.field {

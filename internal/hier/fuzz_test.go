@@ -121,7 +121,7 @@ func TestDirectoryFilterMatchesProbeAll(t *testing.T) {
 		n := 0
 		for i := 0; i < addr.BlocksPerPage; i++ {
 			a := p.BlockAddr(i)
-			lines := []*cache.Line{h.L3().Probe(a), h.L4().Probe(a)}
+			lines := []*cache.Meta{h.L3().Probe(a), h.L4().Probe(a)}
 			for c := 0; c < cores; c++ {
 				lines = append(lines, h.L1(c).Probe(a), h.L2(c).Probe(a))
 			}

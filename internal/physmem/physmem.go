@@ -4,46 +4,59 @@
 // The simulator splits function from timing: caches and the memory
 // controller model *when* data moves and in what form (the NVM device
 // stores ciphertext), while this image is the architecturally visible
-// contents that loads and stores operate on. The image is sparse —
-// pages materialize on first write — and can be disabled entirely for
-// timing-only experiments with very large footprints.
+// contents that loads and stores operate on. Pages materialize on first
+// write into a dense page table indexed by page number — physical frames
+// come from a linear pool starting at page 0, so the table stays within
+// twice the highest frame written — and the image can be disabled
+// entirely for timing-only experiments with very large footprints.
 package physmem
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"silentshredder/internal/addr"
 )
 
-// Image is a sparse plaintext memory image. A one-page cache in front of
-// the page map short-circuits the map lookup for the page-local access
-// runs that dominate workloads.
+// Image is a plaintext memory image. pages is indexed by page number
+// and doubles on demand to cover the highest page written; a nil entry
+// is a page never written, which reads as zeros.
 type Image struct {
-	enabled bool
-	pages   map[addr.PageNum]*[addr.PageSize]byte
-	lastP   addr.PageNum
-	last    *[addr.PageSize]byte // nil when the cache is empty
+	enabled  bool
+	pages    []*[addr.PageSize]byte
+	resident int // non-nil entries in pages
 }
 
 // New creates an image. If store is false all operations are no-ops and
 // reads return zeros; timing-only runs use that mode.
 func New(store bool) *Image {
-	return &Image{enabled: store, pages: make(map[addr.PageNum]*[addr.PageSize]byte)}
+	return &Image{enabled: store}
 }
 
 // Enabled reports whether the image stores data.
 func (m *Image) Enabled() bool { return m.enabled }
 
-// page returns page p's storage if materialized, consulting the
-// one-page cache first.
+// page returns page p's storage, or nil if it was never written. A
+// disabled image never materializes a page, so it always returns nil.
 func (m *Image) page(p addr.PageNum) *[addr.PageSize]byte {
-	if m.last != nil && m.lastP == p {
-		return m.last
+	if uint64(p) < uint64(len(m.pages)) {
+		return m.pages[p]
+	}
+	return nil
+}
+
+// materialize returns page p's storage, allocating it (and growing the
+// page table to cover p) on first use.
+func (m *Image) materialize(p addr.PageNum) *[addr.PageSize]byte {
+	if uint64(p) >= uint64(len(m.pages)) {
+		grown := make([]*[addr.PageSize]byte, max(int(p)+1, 2*len(m.pages), 1024))
+		copy(grown, m.pages)
+		m.pages = grown
 	}
 	pg := m.pages[p]
-	if pg != nil {
-		m.lastP, m.last = p, pg
+	if pg == nil {
+		pg = new([addr.PageSize]byte)
+		m.pages[p] = pg
+		m.resident++
 	}
 	return pg
 }
@@ -51,25 +64,14 @@ func (m *Image) page(p addr.PageNum) *[addr.PageSize]byte {
 // Read copies len(dst) bytes at physical address a into dst. Unwritten
 // memory reads as zeros.
 func (m *Image) Read(a addr.Phys, dst []byte) {
-	if !m.enabled {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
 	for len(dst) > 0 {
 		pg := m.page(a.Page())
 		off := int(a.PageOffset())
-		n := addr.PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
+		n := min(addr.PageSize-off, len(dst))
 		if pg != nil {
 			copy(dst[:n], pg[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		a += addr.Phys(n)
@@ -82,18 +84,9 @@ func (m *Image) Write(a addr.Phys, src []byte) {
 		return
 	}
 	for len(src) > 0 {
-		pg := m.page(a.Page())
-		if pg == nil {
-			pg = new([addr.PageSize]byte)
-			m.pages[a.Page()] = pg
-			m.lastP, m.last = a.Page(), pg
-		}
+		pg := m.materialize(a.Page())
 		off := int(a.PageOffset())
-		n := addr.PageSize - off
-		if n > len(src) {
-			n = len(src)
-		}
-		copy(pg[off:off+n], src[:n])
+		n := copy(pg[off:], src)
 		src = src[n:]
 		a += addr.Phys(n)
 	}
@@ -106,15 +99,30 @@ func (m *Image) ReadBlock(a addr.Phys) [addr.BlockSize]byte {
 	return out
 }
 
-// ReadU64 reads a little-endian uint64 at a.
+// ReadU64 reads a little-endian uint64 at a. A word inside one page is
+// read in place; only a word straddling two pages takes the byte path.
 func (m *Image) ReadU64(a addr.Phys) uint64 {
+	if off := a.PageOffset(); off <= addr.PageSize-8 {
+		if pg := m.page(a.Page()); pg != nil {
+			return binary.LittleEndian.Uint64(pg[off : off+8])
+		}
+		return 0
+	}
 	var b [8]byte
 	m.Read(a, b[:])
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// WriteU64 writes a little-endian uint64 at a.
+// WriteU64 writes a little-endian uint64 at a, in place when the word
+// lies inside one page.
 func (m *Image) WriteU64(a addr.Phys, v uint64) {
+	if !m.enabled {
+		return
+	}
+	if off := a.PageOffset(); off <= addr.PageSize-8 {
+		binary.LittleEndian.PutUint64(m.materialize(a.Page())[off:off+8], v)
+		return
+	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	m.Write(a, b[:])
@@ -124,10 +132,7 @@ func (m *Image) WriteU64(a addr.Phys, v uint64) {
 // the Silent Shredder path to make the architectural contents of a
 // shredded page read as zeros.
 func (m *Image) ZeroPage(p addr.PageNum) {
-	if !m.enabled {
-		return
-	}
-	if pg, ok := m.pages[p]; ok {
+	if pg := m.page(p); pg != nil {
 		*pg = [addr.PageSize]byte{}
 	}
 	// An unmaterialized page already reads as zeros.
@@ -139,24 +144,21 @@ func (m *Image) Snapshot() map[addr.PageNum][]byte {
 	if !m.enabled {
 		return nil
 	}
-	out := make(map[addr.PageNum][]byte, len(m.pages))
-	for p, data := range m.pages {
+	out := make(map[addr.PageNum][]byte, m.resident)
+	m.ForEachPage(func(p addr.PageNum, data *[addr.PageSize]byte) {
 		out[p] = append([]byte(nil), data[:]...)
-	}
+	})
 	return out
 }
 
 // Restore replaces the image contents. A nil snapshot clears the image.
 func (m *Image) Restore(pages map[addr.PageNum][]byte) {
-	m.pages = make(map[addr.PageNum]*[addr.PageSize]byte, len(pages))
-	m.last = nil
+	m.pages, m.resident = nil, 0
 	if !m.enabled {
 		return
 	}
 	for p, data := range pages {
-		pg := new([addr.PageSize]byte)
-		copy(pg[:], data)
-		m.pages[p] = pg
+		copy(m.materialize(p)[:], data)
 	}
 }
 
@@ -164,22 +166,16 @@ func (m *Image) Restore(pages map[addr.PageNum][]byte) {
 // order (deterministic for scanning and reporting). The crash-recovery
 // leak scan walks the recovered image this way.
 func (m *Image) ForEachPage(fn func(p addr.PageNum, data *[addr.PageSize]byte)) {
-	ps := make([]addr.PageNum, 0, len(m.pages))
-	for p := range m.pages {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	for _, p := range ps {
-		fn(p, m.pages[p])
+	for p, pg := range m.pages {
+		if pg != nil {
+			fn(addr.PageNum(p), pg)
+		}
 	}
 }
 
 // PageResident reports whether page p has been materialized.
-func (m *Image) PageResident(p addr.PageNum) bool {
-	_, ok := m.pages[p]
-	return ok
-}
+func (m *Image) PageResident(p addr.PageNum) bool { return m.page(p) != nil }
 
 // ResidentPages returns the number of materialized pages (for memory
 // accounting in big sweeps).
-func (m *Image) ResidentPages() int { return len(m.pages) }
+func (m *Image) ResidentPages() int { return m.resident }

@@ -67,6 +67,13 @@ func (m *Machine) LoadMemoryState(r io.Reader) error {
 	if cp.Magic != checkpointMagic {
 		return fmt.Errorf("sim: not a checkpoint stream (magic %q)", cp.Magic)
 	}
+	// The image is a table indexed by frame number, so a page outside
+	// the frame pool is rejected before it can size that table.
+	for p := range cp.Image {
+		if uint64(p) >= uint64(m.Cfg.MemPages) {
+			return fmt.Errorf("sim: checkpoint image page %d is outside the %d-page frame pool", p, m.Cfg.MemPages)
+		}
+	}
 	m.Hier.Crash() // drop any cached state without writing back
 	m.Dev.Restore(cp.Device)
 	m.MC.CounterCache().RestoreRegion(cp.Region)

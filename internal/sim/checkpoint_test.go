@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,6 +80,16 @@ func TestCheckpointBadStreamRejected(t *testing.T) {
 	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
 	if err := m.LoadMemoryState(strings.NewReader("garbage")); err == nil {
 		t.Fatal("garbage accepted as checkpoint")
+	}
+	// An image page beyond the frame pool is malformed input, not a
+	// request for a page table that large.
+	var buf bytes.Buffer
+	far := checkpoint{Magic: checkpointMagic, Image: map[addr.PageNum][]byte{1 << 40: {1}}}
+	if err := gob.NewEncoder(&buf).Encode(&far); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadMemoryState(&buf); err == nil || !strings.Contains(err.Error(), "outside the") {
+		t.Fatalf("far image page: LoadMemoryState = %v, want a frame-pool error", err)
 	}
 }
 

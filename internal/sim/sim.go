@@ -153,10 +153,10 @@ type Machine struct {
 }
 
 // SizeError reports a machine dimension outside the range the model can
-// build: a core count the directory's sharer mask cannot hold, or a
-// cache scale below 1.
+// build: a core count the directory's sharer mask cannot hold, a cache
+// scale below 1, or a negative width, bank count or queue depth.
 type SizeError struct {
-	Field string // "cores" or "scale"
+	Field string // the flag the value comes from: "cores", "scale", "banks", ...
 	Value int
 	Min   int
 	Max   int // 0: no upper bound
@@ -178,11 +178,29 @@ func CheckCores(n int) error {
 	return nil
 }
 
-// New builds a machine from cfg. A core count outside 1..hier.MaxCores is
-// a *SizeError.
+// CheckNonNegative returns a *SizeError if n, the value of the named
+// width, count or depth, is below 0 (where 0 selects the default).
+func CheckNonNegative(field string, n int) error {
+	if n < 0 {
+		return &SizeError{Field: field, Value: n, Min: 0}
+	}
+	return nil
+}
+
+// New builds a machine from cfg. A core count outside 1..hier.MaxCores,
+// or a negative controller width, bank count, bank queue depth or drain
+// batch, is a *SizeError.
 func New(cfg Config) (*Machine, error) {
-	if err := CheckCores(cfg.Hier.Cores); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	for _, err := range []error{
+		CheckCores(cfg.Hier.Cores),
+		CheckNonNegative("mc-workers", cfg.MCWorkers),
+		CheckNonNegative("banks", cfg.NVM.Banks),
+		CheckNonNegative("bank-queue", cfg.NVM.BankQueueDepth),
+		CheckNonNegative("bank-drain", cfg.NVM.BankDrainBatch),
+	} {
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
 	}
 	if cfg.CheckOracle {
 		cfg.StoreData = true

@@ -50,6 +50,28 @@ func TestNewRejectsCoreCounts(t *testing.T) {
 	}
 }
 
+// A negative controller width, bank count, queue depth or drain batch is
+// a typed configuration error too; 0 keeps the default.
+func TestNewRejectsNegativeWidths(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"mc-workers", func(c *Config) { c.MCWorkers = -2 }},
+		{"banks", func(c *Config) { c.NVM.Banks = -3 }},
+		{"bank-queue", func(c *Config) { c.NVM.BankQueueDepth = -1 }},
+		{"bank-drain", func(c *Config) { c.NVM.BankDrainBatch = -1 }},
+	} {
+		cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+		tc.set(&cfg)
+		m, err := New(cfg)
+		var se *SizeError
+		if m != nil || !errors.As(err, &se) || se.Field != tc.field || se.Value >= 0 {
+			t.Errorf("%s: New = %v, %v; want a *SizeError for %s", tc.field, m, err, tc.field)
+		}
+	}
+}
+
 func TestScaledConfigFloors(t *testing.T) {
 	cfg := ScaledConfig(memctrl.Baseline, kernel.ZeroNonTemporal, 1<<30)
 	if cfg.Hier.L1.Size < cfg.Hier.L1.Assoc*64 {
