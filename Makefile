@@ -145,15 +145,16 @@ cover:
 test-record:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 
-# Benchmark pipeline. `bench` runs every benchmark (no unit tests),
-# records the raw text, and converts it into the committed trajectory
-# snapshot $(BENCH_JSON). The old `... | tee bench_output.txt` recipe
+# Benchmark pipeline. `bench` runs every benchmark (no unit tests) five
+# times, records the raw text, and converts it into the committed
+# trajectory snapshot $(BENCH_JSON), which keeps each benchmark's median,
+# min/max spread and sample count. The old `... | tee bench_output.txt` recipe
 # masked benchmark failures behind tee's exit status; writing the file
 # directly and catting it afterwards preserves both the transcript and
 # the exit code.
-BENCH_JSON ?= BENCH_13.json
+BENCH_JSON ?= BENCH_14.json
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./... > bench_output.txt 2>&1 \
+	$(GO) test -bench=. -benchmem -count=5 -run='^$$' ./... > bench_output.txt 2>&1 \
 		|| { cat bench_output.txt; exit 1; }
 	@cat bench_output.txt
 	$(GO) run ./cmd/benchjson -in bench_output.txt -out $(BENCH_JSON)
@@ -164,11 +165,11 @@ bench-json:
 	@test -f bench_output.txt || $(MAKE) bench
 	$(GO) run ./cmd/benchjson -in bench_output.txt -out $(BENCH_JSON)
 
-# Diff two benchmark snapshots; fails on any ns/op regression past
-# THRESHOLD (ratio) or any allocs/op increase.
-#   make bench-compare BASE=BENCH_12.json NEW=BENCH_13.json [THRESHOLD=1.30]
-BASE ?= BENCH_12.json
-NEW ?= BENCH_13.json
+# Diff two benchmark snapshots; fails when a median ns/op regresses past
+# THRESHOLD (ratio) or on any allocs/op increase.
+#   make bench-compare BASE=BENCH_13.json NEW=BENCH_14.json [THRESHOLD=1.30]
+BASE ?= BENCH_13.json
+NEW ?= BENCH_14.json
 THRESHOLD ?= 1.30
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) $(BASE) $(NEW)

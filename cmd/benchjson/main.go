@@ -11,10 +11,13 @@
 // b.ReportMetric columns) plus the pkg: headers, and stamps the file
 // with a machine fingerprint (GOOS/GOARCH/CPU count/GOMAXPROCS/CPU
 // model/Go version) so trajectory files from different hosts are never
-// compared silently. Compare mode diffs ns/op for benchmarks present in
-// both files, matched by package and by name without go test's -N
-// GOMAXPROCS suffix, and exits nonzero if any regresses past the
-// threshold ratio;
+// compared silently. Repeated lines for one package and name (go test
+// -count N) fold into a single entry: every column holds the median of
+// the samples except allocs/op, which holds the maximum, and ns/op also
+// keeps the min/max spread and the sample count. Compare mode diffs the
+// median ns/op for benchmarks present in both files, matched by package
+// and by name without go test's -N GOMAXPROCS suffix, and exits nonzero
+// if the ratio of medians passes the threshold;
 // alloc counts are compared exactly (a new steady-state allocation is a
 // regression at any magnitude).
 package main
@@ -27,6 +30,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,12 +56,19 @@ type Machine struct {
 	CPUModel   string `json:"cpu_model,omitempty"`
 }
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: a single parsed line, or the
+// fold of its repeated lines (per-column medians, worst allocs/op).
 type Benchmark struct {
-	Name        string             `json:"name"`    // e.g. BenchmarkPadInto-8
-	Package     string             `json:"package"` // e.g. silentshredder/internal/ctr
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
+	Name       string  `json:"name"`    // e.g. BenchmarkPadInto-8
+	Package    string  `json:"package"` // e.g. silentshredder/internal/ctr
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"` // the median when Samples > 1
+	// Samples is the number of result lines folded into this entry;
+	// absent (0) in single-sample snapshots, which means 1.
+	Samples int `json:"samples,omitempty"`
+	// NsMin and NsMax bound the ns/op samples (absent for one sample).
+	NsMin       float64            `json:"ns_min,omitempty"`
+	NsMax       float64            `json:"ns_max,omitempty"`
 	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
 	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	MBPerS      *float64           `json:"mb_per_s,omitempty"`
@@ -108,6 +119,8 @@ func convert(inPath, outPath string) error {
 	}
 
 	pkg := ""
+	var order []string // package+name keys in first-seen order
+	samples := map[string][]Benchmark{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -127,10 +140,17 @@ func convert(inPath, outPath string) error {
 		if snap.Machine.GOMAXPROCS == 0 {
 			_, snap.Machine.GOMAXPROCS = splitBenchName(b.Name)
 		}
-		snap.Benchmarks = append(snap.Benchmarks, b)
+		key := pkg + " " + b.Name
+		if _, seen := samples[key]; !seen {
+			order = append(order, key)
+		}
+		samples[key] = append(samples[key], b)
 	}
 	if err := sc.Err(); err != nil {
 		return err
+	}
+	for _, key := range order {
+		snap.Benchmarks = append(snap.Benchmarks, fold(samples[key]))
 	}
 	if len(snap.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark results found in %s", inPath)
@@ -193,6 +213,79 @@ func parseLine(line string) (Benchmark, bool) {
 }
 
 func ptr(v float64) *float64 { return &v }
+
+// fold merges the repeated result lines of one benchmark into a single
+// entry: every column holds the median of its samples except allocs/op,
+// which keeps the maximum so a zero-alloc pin fails if any sample
+// allocates. ns/op also records the min/max spread and the sample count.
+// A single line passes through unchanged, so one-shot transcripts keep
+// their old snapshot shape.
+func fold(runs []Benchmark) Benchmark {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	b := Benchmark{
+		Name:       runs[0].Name,
+		Package:    runs[0].Package,
+		Iterations: runs[0].Iterations,
+		NsPerOp:    *medianOf(runs, func(r Benchmark) *float64 { return &r.NsPerOp }),
+		Samples:    len(runs),
+		NsMin:      runs[0].NsPerOp,
+		NsMax:      runs[0].NsPerOp,
+		BytesPerOp: medianOf(runs, func(r Benchmark) *float64 { return r.BytesPerOp }),
+		MBPerS:     medianOf(runs, func(r Benchmark) *float64 { return r.MBPerS }),
+	}
+	units := map[string]bool{}
+	for _, r := range runs {
+		b.NsMin = min(b.NsMin, r.NsPerOp)
+		b.NsMax = max(b.NsMax, r.NsPerOp)
+		if r.AllocsPerOp != nil && (b.AllocsPerOp == nil || *r.AllocsPerOp > *b.AllocsPerOp) {
+			b.AllocsPerOp = r.AllocsPerOp
+		}
+		for unit := range r.Metrics {
+			units[unit] = true
+		}
+	}
+	for unit := range units {
+		if b.Metrics == nil {
+			b.Metrics = map[string]float64{}
+		}
+		b.Metrics[unit] = *medianOf(runs, func(r Benchmark) *float64 {
+			if v, ok := r.Metrics[unit]; ok {
+				return &v
+			}
+			return nil
+		})
+	}
+	return b
+}
+
+// medianOf returns the median of the non-nil values get reports across
+// runs (the mean of the middle two for an even count), or nil if there
+// are none.
+func medianOf(runs []Benchmark, get func(Benchmark) *float64) *float64 {
+	var vs []float64
+	for _, r := range runs {
+		if v := get(r); v != nil {
+			vs = append(vs, *v)
+		}
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	slices.Sort(vs)
+	n := len(vs)
+	return ptr((vs[(n-1)/2] + vs[n/2]) / 2)
+}
+
+// spread returns a benchmark's ns/op min-to-max range as a fraction of
+// its median (0 for a single sample).
+func (b Benchmark) spread() float64 {
+	if b.Samples < 2 {
+		return 0
+	}
+	return (b.NsMax - b.NsMin) / b.NsPerOp
+}
 
 // cpuModel extracts the CPU model string from /proc/cpuinfo (best
 // effort; empty on non-Linux hosts).
@@ -290,7 +383,7 @@ func compareSnapshots(w io.Writer, oldF, newF File, threshold float64) int {
 		case ratio < 1/threshold:
 			status = "improved"
 		}
-		fmt.Fprintf(w, "%-60s %12.1f -> %12.1f ns/op  %.2fx  %s\n", nb.Name, ob.NsPerOp, nb.NsPerOp, ratio, status)
+		fmt.Fprintf(w, "%-60s %12.1f -> %12.1f ns/op  %.2fx  %s%s\n", nb.Name, ob.NsPerOp, nb.NsPerOp, ratio, status, spreadNote(ob, nb))
 		if ob.AllocsPerOp != nil && nb.AllocsPerOp != nil && *nb.AllocsPerOp > allocsAllowed(*ob.AllocsPerOp) {
 			fmt.Fprintf(w, "%-60s %12.0f -> %12.0f allocs/op        REGRESSION\n", nb.Name, *ob.AllocsPerOp, *nb.AllocsPerOp)
 			regressions++
@@ -298,6 +391,16 @@ func compareSnapshots(w io.Writer, oldF, newF File, threshold float64) int {
 	}
 	fmt.Fprintf(w, "compared %d benchmarks, %d regressions (threshold %.2fx)\n", compared, regressions, threshold)
 	return finishCompare(w, compared, regressions)
+}
+
+// spreadNote describes the sample counts and ns/op spreads behind a
+// comparison of medians; it is empty when both sides are single samples.
+func spreadNote(ob, nb Benchmark) string {
+	if ob.Samples < 2 && nb.Samples < 2 {
+		return ""
+	}
+	n := func(b Benchmark) int { return max(b.Samples, 1) }
+	return fmt.Sprintf("  (n=%d/%d, spread %.0f%%/%.0f%%)", n(ob), n(nb), 100*ob.spread(), 100*nb.spread())
 }
 
 // allocsAllowed returns the highest allocs/op a new run may report

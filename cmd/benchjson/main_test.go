@@ -227,3 +227,132 @@ BenchmarkPadInto-2   1000   200.0 ns/op   0 B/op   0 allocs/op
 		t.Fatalf("2-CPU vs 1-CPU compare exit = %d, want 0", code)
 	}
 }
+
+// TestFoldRepeatedSamples converts a `go test -count N` transcript:
+// repeated lines for one package and name fold into one entry holding
+// the per-column medians (the maximum for allocs/op), the ns/op min/max
+// and the sample count, while a benchmark that ran once keeps the
+// single-sample shape.
+func TestFoldRepeatedSamples(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "folded.json")
+	if err := convert("testdata/repeated.txt", out); err != nil {
+		t.Fatal(err)
+	}
+	f, err := load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 3 {
+		t.Fatalf("got %d entries, want 3 (one per package and name): %+v", len(f.Benchmarks), f.Benchmarks)
+	}
+	byName := map[string]Benchmark{}
+	for _, b := range f.Benchmarks {
+		byName[b.Name] = b
+	}
+
+	// Five samples with one 250 ns outlier: the median ignores it, the
+	// spread records it.
+	burst := byName["BenchmarkEngineUpdateBurst/cached-2"]
+	if burst.Package != "silentshredder/internal/integrity" || burst.Samples != 5 ||
+		burst.NsPerOp != 80 || burst.NsMin != 77 || burst.NsMax != 250 ||
+		burst.Iterations != 15000000 || *burst.AllocsPerOp != 0 {
+		t.Fatalf("folded burst = %+v", burst)
+	}
+	// Four samples: the median is the mean of the middle two, in every
+	// column, custom metrics included, except allocs/op, which keeps the
+	// worst sample.
+	sweep := byName["BenchmarkComparisonSweep-2"]
+	if sweep.Samples != 4 || sweep.NsPerOp != 87000000 || sweep.NsMin != 84000000 ||
+		sweep.NsMax != 90000000 || *sweep.BytesPerOp != 2000000 || *sweep.AllocsPerOp != 7503 ||
+		sweep.Metrics["write_savings"] != 0.99 {
+		t.Fatalf("folded sweep = %+v", sweep)
+	}
+	// One sample: no count, no spread, same JSON as before folding.
+	table := byName["BenchmarkTable2InitializationTechniques-2"]
+	if table.Samples != 0 || table.NsMin != 0 || table.NsMax != 0 || table.NsPerOp != 1300000 {
+		t.Fatalf("single sample = %+v", table)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(data), `"samples"`) != 2 {
+		t.Fatalf("only folded entries may carry a sample count:\n%s", data)
+	}
+}
+
+// Compare gates on the ratio of medians: one slow outlier sample past
+// the threshold does not fail the gate, a slower median does, a
+// zero-alloc baseline fails if any one sample allocates, and a
+// single-sample snapshot still loads and pairs with a folded one.
+func TestCompareGatesOnMedian(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(name, content string) File {
+		raw := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(raw, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, name+".json")
+		if err := convert(raw, out); err != nil {
+			t.Fatal(err)
+		}
+		f, err := load(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	base := snapshot("base", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   100.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000   104.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000    98.0 ns/op   0 B/op   0 allocs/op
+`)
+	outlier := snapshot("outlier", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   101.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000   300.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000    99.0 ns/op   0 B/op   0 allocs/op
+`)
+	var buf strings.Builder
+	if code := compareSnapshots(&buf, base, outlier, 1.30); code != 0 {
+		t.Fatalf("one outlier sample failed the median gate (exit %d):\n%s", code, buf.String())
+	}
+	if !strings.Contains(buf.String(), "(n=3/3, spread 6%/199%)") {
+		t.Fatalf("report lacks the sample counts and spreads:\n%s", buf.String())
+	}
+	slow := snapshot("slow", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   140.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000    99.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000   145.0 ns/op   0 B/op   0 allocs/op
+`)
+	buf.Reset()
+	if code := compareSnapshots(&buf, base, slow, 1.30); code != 1 {
+		t.Fatalf("median 1.40x slower must fail the gate (exit %d):\n%s", code, buf.String())
+	}
+
+	leaky := snapshot("leaky", `pkg: silentshredder/internal/ctr
+BenchmarkPadInto-2   1000   100.0 ns/op   0 B/op   0 allocs/op
+BenchmarkPadInto-2   1000   100.0 ns/op  16 B/op   1 allocs/op
+BenchmarkPadInto-2   1000   100.0 ns/op   0 B/op   0 allocs/op
+`)
+	buf.Reset()
+	if code := compareSnapshots(&buf, base, leaky, 1.30); code != 1 || !strings.Contains(buf.String(), "allocs/op        REGRESSION") {
+		t.Fatalf("one allocating sample must fail a zero-alloc pin (exit %d):\n%s", code, buf.String())
+	}
+
+	// Snapshots written before folding (no samples, no spread) stay
+	// loadable and comparable.
+	old, err := load("testdata/single.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range old.Benchmarks {
+		if b.Samples != 0 || b.NsMin != 0 {
+			t.Fatalf("single-sample snapshot entry read as folded: %+v", b)
+		}
+	}
+	buf.Reset()
+	compareSnapshots(&buf, old, base, 1.30)
+	if !strings.Contains(buf.String(), "compared 1 benchmarks") || !strings.Contains(buf.String(), "(n=1/3,") {
+		t.Fatalf("single-sample vs folded compare:\n%s", buf.String())
+	}
+}

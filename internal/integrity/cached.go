@@ -2,7 +2,7 @@ package integrity
 
 import (
 	"crypto/sha256"
-	"sort"
+	"slices"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/clock"
@@ -13,12 +13,13 @@ import (
 
 // DefaultDirtyCacheNodes is the dirty-subtree cache capacity used when
 // Config.DirtyCacheNodes is zero: 1024 pending leaves is 32KB of on-chip
-// hash state, in line with the Bonsai cached-levels SRAM budget.
+// hash state (the modeled hardware parks 32-byte leaf hashes), in line
+// with the Bonsai cached-levels SRAM budget.
 const DefaultDirtyCacheNodes = 1024
 
 // CachedTree is the lazy engine (Streamlining Integrity Tree Updates,
 // PAPERS.md): counter updates do NOT climb to the root. Instead the new
-// leaf hash is parked in a bounded on-chip dirty-subtree cache and the
+// leaf is parked in a bounded on-chip dirty-subtree cache and the
 // ancestor path is recomputed later — per page when that page's counters
 // are written back to the persistence domain, or as one coalesced batch
 // at persist barriers (mc.Flush, crash cuts). Writes that hit the same
@@ -34,10 +35,24 @@ const DefaultDirtyCacheNodes = 1024
 // bit-identical to the eager engine's over the same update history,
 // which is what makes the reboot-time replay audit detect stale counters
 // at exactly the same points.
+//
+// Modeled versus host hashing: the modeled hardware hashes the leaf on
+// every update, so Update charges HashLatency and one hash_op each time.
+// The simulator itself defers that digest. The dirty cache holds the
+// encoded counter block, and the host computes its SHA-256 once, when
+// the leaf is propagated or a verification misses the cache. A pending
+// leaf rewritten 64 times by a page clear is hashed once, not 64 times.
+// Pending-hit verifications compare blocks directly: two blocks are
+// equal exactly when their digests are, so every verdict, root, counter
+// and event is the same as hashing on each update.
 type CachedTree struct {
 	store
-	cap   int             // dirty-cache capacity in leaves
-	dirty map[uint64]Hash // pending leaf hashes, not yet propagated
+	cap   int                                   // dirty-cache capacity in leaves
+	dirty map[uint64][ctr.CounterBlockSize]byte // pending leaf blocks, not yet hashed or propagated
+	// leafBuf is the reusable leaf list Persisted and PersistBarrier
+	// hand to propagate, so a barrier over materialised nodes does not
+	// allocate.
+	leafBuf []uint64
 
 	updates, verifies stats.Counter
 	hashOps           stats.Counter
@@ -56,7 +71,7 @@ func NewCachedTree(cfg Config) *CachedTree {
 	return &CachedTree{
 		store: newStore(cfg),
 		cap:   cfg.DirtyCacheNodes,
-		dirty: make(map[uint64]Hash, cfg.DirtyCacheNodes),
+		dirty: make(map[uint64][ctr.CounterBlockSize]byte, cfg.DirtyCacheNodes),
 	}
 }
 
@@ -64,7 +79,8 @@ func NewCachedTree(cfg Config) *CachedTree {
 func (t *CachedTree) SetBus(b *obs.Bus) { t.bus = b }
 
 // Update absorbs page p's changed counter block into the dirty cache:
-// one leaf hash now, ancestor recomputation deferred. A full cache
+// one modeled leaf hash now (its digest is computed by the host only at
+// propagation), ancestor recomputation deferred. A full cache
 // forces a coalescing propagation first, so the pending set stays within
 // the modeled on-chip SRAM budget.
 func (t *CachedTree) Update(p addr.PageNum, block [ctr.CounterBlockSize]byte) clock.Cycles {
@@ -74,7 +90,7 @@ func (t *CachedTree) Update(p addr.PageNum, block [ctr.CounterBlockSize]byte) cl
 	if _, pending := t.dirty[idx]; !pending && len(t.dirty) >= t.cap {
 		t.PersistBarrier()
 	}
-	t.dirty[idx] = sha256.Sum256(block[:])
+	t.dirty[idx] = block
 	t.hashOps.Inc()
 	return t.cfg.HashLatency
 }
@@ -87,17 +103,16 @@ func (t *CachedTree) Update(p addr.PageNum, block [ctr.CounterBlockSize]byte) cl
 func (t *CachedTree) Verify(p addr.PageNum, block [ctr.CounterBlockSize]byte) (bool, clock.Cycles) {
 	t.verifies.Inc()
 	idx := uint64(p)
-	h := sha256.Sum256(block[:])
 	if want, ok := t.dirty[idx]; ok {
 		t.verifyHits.Inc()
 		t.bus.Emit(obs.EvMerkleVerify, uint64(p.Addr()), 1)
 		t.hashOps.Inc()
-		return h == want, t.cfg.HashLatency
+		return block == want, t.cfg.HashLatency
 	}
 	path := t.cfg.verifyPath()
 	t.bus.Emit(obs.EvMerkleVerify, uint64(p.Addr()), uint64(path))
 	levels := path - 1
-	h = t.walkUp(idx, h, levels, false)
+	h := t.walkUp(idx, sha256.Sum256(block[:]), levels, false)
 	t.hashOps.Add(uint64(path))
 	return h == t.node(levels, idx>>uint(levels)), t.cfg.verifyCost()
 }
@@ -108,11 +123,10 @@ func (t *CachedTree) Verify(p addr.PageNum, block [ctr.CounterBlockSize]byte) (b
 // neutral, like the eager engine's.
 func (t *CachedTree) ConsistentWith(p addr.PageNum, block [ctr.CounterBlockSize]byte) bool {
 	idx := uint64(p)
-	h := sha256.Sum256(block[:])
 	if want, ok := t.dirty[idx]; ok {
-		return h == want
+		return block == want
 	}
-	return t.walkUp(idx, h, t.cfg.Depth, false) == t.root
+	return t.walkUp(idx, sha256.Sum256(block[:]), t.cfg.Depth, false) == t.root
 }
 
 // Authenticate is ConsistentWith with a typed *ReplayError on mismatch.
@@ -128,7 +142,8 @@ func (t *CachedTree) Persisted(p addr.PageNum) {
 	if _, ok := t.dirty[idx]; !ok {
 		return
 	}
-	t.propagate([]uint64{idx})
+	t.leafBuf = append(t.leafBuf[:0], idx)
+	t.propagate(t.leafBuf)
 }
 
 // PersistBarrier propagates every pending update as one coalesced batch.
@@ -139,22 +154,25 @@ func (t *CachedTree) PersistBarrier() {
 	if len(t.dirty) == 0 {
 		return
 	}
-	leaves := make([]uint64, 0, len(t.dirty))
+	leaves := t.leafBuf[:0]
 	for idx := range t.dirty {
 		leaves = append(leaves, idx)
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+	slices.Sort(leaves)
+	t.leafBuf = leaves
 	t.propagate(leaves)
 }
 
-// propagate installs the pending leaf hashes for `leaves` (sorted
-// ascending) and rehashes their ancestor closure level by level. Shared
-// parents are computed once: the frontier of touched indices is deduped
-// as it climbs, which is where batching beats per-update eagerness.
+// propagate hashes and installs the pending leaf blocks for `leaves`
+// (sorted ascending; the slice is reused as scratch) and rehashes their
+// ancestor closure level by level. Shared parents are computed once: the
+// frontier of touched indices is deduped as it climbs, which is where
+// batching beats per-update eagerness.
 func (t *CachedTree) propagate(leaves []uint64) {
 	t.barriers.Inc()
 	for _, idx := range leaves {
-		t.nodes[0][idx] = t.dirty[idx]
+		blk := t.dirty[idx]
+		t.nodes[0][idx] = sha256.Sum256(blk[:])
 		delete(t.dirty, idx)
 	}
 	frontier := leaves

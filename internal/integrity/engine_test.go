@@ -288,3 +288,26 @@ func TestEagerResetStats(t *testing.T) {
 		t.Fatal("state must survive ResetStats")
 	}
 }
+
+// An update burst plus a barrier over leaves whose tree nodes already
+// exist must not allocate: the barrier sorts a tree-owned leaf buffer,
+// and the dirty cache and node maps are rewritten in place.
+func TestCachedBarrierZeroAllocs(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Engine = EngineCached
+	cached := NewCachedTree(cfg)
+	burst := func(v byte) {
+		for i := 0; i < 256; i++ {
+			cached.Update(addr.PageNum(i%32*7), blockWith(v+byte(i)))
+		}
+		cached.PersistBarrier()
+	}
+	burst(1) // materialise the 32 leaves' paths
+	v := byte(2)
+	if n := testing.AllocsPerRun(100, func() {
+		burst(v)
+		v++
+	}); n != 0 {
+		t.Fatalf("update burst + barrier allocates %v per run, want 0", n)
+	}
+}

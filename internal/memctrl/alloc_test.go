@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/integrity"
 	"silentshredder/internal/nvm"
 	"silentshredder/internal/physmem"
 )
@@ -80,5 +81,30 @@ func BenchmarkReadBlockData(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.ReadBlock(addr.PageNum(i%16).BlockAddr(i%addr.BlocksPerPage), buf)
+	}
+}
+
+// BenchmarkZeroPageDirectCachedMerkle measures the baseline NT-zero page
+// clear under the lazy integrity engine: 64 encrypted zero-block writes,
+// each of which bumps the page's counter block and re-parks its Merkle
+// leaf in the dirty cache. The loop cycles over four dirty caches' worth
+// of pages, so a full cache forces a coalesced propagation every
+// DefaultDirtyCacheNodes pages inside the timed region, as the page
+// churn of the shred-churn workload does. Each op therefore includes its
+// share of the host leaf hash and the ancestor rehash done at
+// propagation, not just the parking.
+func BenchmarkZeroPageDirectCachedMerkle(b *testing.B) {
+	dev := nvm.New(nvm.DefaultConfig())
+	cfg := DefaultConfig(Baseline)
+	cfg.Integrity = true
+	cfg.IntegrityCfg.Engine = integrity.EngineCached
+	mc, err := New(cfg, dev, physmem.New(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pages = 4 * integrity.DefaultDirtyCacheNodes
+	b.SetBytes(addr.PageSize)
+	for i := 0; i < b.N; i++ {
+		mc.ZeroPageDirect(addr.PageNum(i % pages))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"silentshredder/internal/span"
+	"silentshredder/internal/stats"
 )
 
 // Chrome trace_event exporter. The output is the JSON Object Format
@@ -43,15 +44,15 @@ const CyclesPerMicrosecond = 2000
 
 // WriteChromeTrace writes runs as a Chrome trace_event JSON document.
 func WriteChromeTrace(w io.Writer, runs []TraceRun) error {
-	bw := &errWriter{w: w}
-	bw.str(`{"traceEvents":[` + "\n")
+	bw := &stats.ErrWriter{W: w}
+	bw.Str(`{"traceEvents":[` + "\n")
 	first := true
 	emit := func(line string) {
 		if !first {
-			bw.str(",\n")
+			bw.Str(",\n")
 		}
 		first = false
-		bw.str(line)
+		bw.Str(line)
 	}
 	for pid, run := range runs {
 		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
@@ -75,8 +76,8 @@ func WriteChromeTrace(w io.Writer, runs []TraceRun) error {
 			emit(chromeSpan(pid, sp))
 		}
 	}
-	bw.str("\n]}\n")
-	return bw.err
+	bw.Str("\n]}\n")
+	return bw.Err
 }
 
 // runTids returns the sorted set of thread ids present in events.
@@ -169,15 +170,3 @@ func formatTS(cycles uint64) string {
 }
 
 func quoteJSON(s string) string { return strconv.Quote(s) }
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
-}

@@ -293,21 +293,21 @@ func (f *Flags) writeSpans(captures []Capture) error {
 // writeEpochJSON merges every run into one JSON array (stats.EpochJSON
 // writes one array per call, which would not concatenate validly).
 func writeEpochJSON(w io.Writer, captures []Capture, cols []stats.EpochColumn) error {
-	ew := &errWriter{w: w}
-	ew.str("[\n")
+	ew := &stats.ErrWriter{W: w}
+	ew.Str("[\n")
 	first := true
 	for _, c := range captures {
 		for i, ep := range c.Epochs {
 			if !first {
-				ew.str(",\n")
+				ew.Str(",\n")
 			}
 			first = false
-			ew.str(fmt.Sprintf("  {\"run\":%q,\"epoch\":%d,\"cycles\":%d", c.Name, ep.Index, ep.Cycles))
+			ew.Str(fmt.Sprintf("  {\"run\":%q,\"epoch\":%d,\"cycles\":%d", c.Name, ep.Index, ep.Cycles))
 			for _, col := range cols {
-				ew.str(fmt.Sprintf(",%q:%s", col.Name,
+				ew.Str(fmt.Sprintf(",%q:%s", col.Name,
 					strconv.FormatFloat(col.Value(i, c.Epochs), 'g', 6, 64)))
 			}
-			ew.str("}")
+			ew.Str("}")
 		}
 	}
 	// Trailing wrap markers, mirroring the CSV footer: present only for
@@ -315,24 +315,12 @@ func writeEpochJSON(w io.Writer, captures []Capture, cols []stats.EpochColumn) e
 	for _, c := range captures {
 		if c.Dropped > 0 {
 			if !first {
-				ew.str(",\n")
+				ew.Str(",\n")
 			}
 			first = false
-			ew.str(fmt.Sprintf("  {\"run\":%q,\"dropped_events\":%d}", c.Name, c.Dropped))
+			ew.Str(fmt.Sprintf("  {\"run\":%q,\"dropped_events\":%d}", c.Name, c.Dropped))
 		}
 	}
-	ew.str("\n]\n")
-	return ew.err
-}
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
+	ew.Str("\n]\n")
+	return ew.Err
 }

@@ -202,7 +202,7 @@ func (a *Agg) WriteBreakdownCSV(w io.Writer, run string, header bool) error {
 	for _, row := range a.rows(run) {
 		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%s,%s,%s",
 			row.Run, row.Tenant, row.Op, row.Count, row.Cycles,
-			formatG(row.Mean), formatG(row.P50), formatG(row.P99)); err != nil {
+			stats.FormatG(row.Mean), stats.FormatG(row.P50), stats.FormatG(row.P99)); err != nil {
 			return err
 		}
 		for _, cell := range row.Layers {
@@ -245,5 +245,3 @@ func WriteBreakdownJSONRuns(w io.Writer, runs []NamedAgg) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
 }
-
-func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -213,33 +213,33 @@ func EpochCSV(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) error
 // EpochCSVHeader writes only the header row — call once, then
 // EpochCSVRows per run, to merge several runs into one file.
 func EpochCSVHeader(w io.Writer, cols []EpochColumn) error {
-	ew := &epochErrWriter{w: w}
-	ew.str("run,epoch,cycles")
+	ew := &ErrWriter{W: w}
+	ew.Str("run,epoch,cycles")
 	for _, c := range cols {
-		ew.str(",")
-		ew.str(c.Name)
+		ew.Str(",")
+		ew.Str(c.Name)
 	}
-	ew.str("\n")
-	return ew.err
+	ew.Str("\n")
+	return ew.Err
 }
 
 // EpochCSVRows writes one row per epoch with no header (see
 // EpochCSVHeader).
 func EpochCSVRows(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) error {
-	ew := &epochErrWriter{w: w}
+	ew := &ErrWriter{W: w}
 	for i, ep := range epochs {
-		ew.str(run)
-		ew.str(",")
-		ew.str(strconv.FormatUint(ep.Index, 10))
-		ew.str(",")
-		ew.str(strconv.FormatUint(ep.Cycles, 10))
+		ew.Str(run)
+		ew.Str(",")
+		ew.Str(strconv.FormatUint(ep.Index, 10))
+		ew.Str(",")
+		ew.Str(strconv.FormatUint(ep.Cycles, 10))
 		for _, c := range cols {
-			ew.str(",")
-			ew.str(formatEpochValue(c.Value(i, epochs)))
+			ew.Str(",")
+			ew.Str(formatEpochValue(c.Value(i, epochs)))
 		}
-		ew.str("\n")
+		ew.Str("\n")
 	}
-	return ew.err
+	return ew.Err
 }
 
 // EpochJSON writes the series as a JSON array of objects with run,
@@ -262,16 +262,4 @@ func EpochJSON(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) erro
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
-}
-
-type epochErrWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *epochErrWriter) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
 }

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -85,6 +87,27 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+// FormatG renders v in the shortest form that round-trips ('g', -1):
+// the number format of the Prometheus, span-breakdown and other
+// machine-read exporters.
+func FormatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// ErrWriter is the sticky-error writer the text exporters build their
+// output with: after the first failed write every Str is a no-op, and
+// Err reports that first error once the export is done.
+type ErrWriter struct {
+	W   io.Writer
+	Err error
+}
+
+// Str writes s unless an earlier write failed.
+func (e *ErrWriter) Str(s string) {
+	if e.Err != nil {
+		return
+	}
+	_, e.Err = io.WriteString(e.W, s)
 }
 
 // GeoMean returns the geometric mean of xs (which must be positive);

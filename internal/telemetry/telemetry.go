@@ -48,48 +48,48 @@ type Sample struct {
 // ids ascending. Metric names are shredsim_<set>_<stat> with
 // non-alphanumeric characters folded to '_'.
 func WriteMetrics(w io.Writer, samples []Sample) error {
-	ew := &errWriter{w: w}
-	ew.str("# shredsim telemetry (Prometheus text exposition format)\n")
-	ew.str("shredsim_samples " + strconv.Itoa(len(samples)) + "\n")
+	ew := &stats.ErrWriter{W: w}
+	ew.Str("# shredsim telemetry (Prometheus text exposition format)\n")
+	ew.Str("shredsim_samples " + strconv.Itoa(len(samples)) + "\n")
 	for _, s := range samples {
 		run := `{run="` + s.Run + `"}`
-		ew.str("shredsim_cycles_total" + run + " " + strconv.FormatUint(s.Cycles, 10) + "\n")
-		ew.str("shredsim_instructions_total" + run + " " + strconv.FormatUint(s.Instructions, 10) + "\n")
-		ew.str("shredsim_ipc" + run + " " + formatG(s.IPC) + "\n")
+		ew.Str("shredsim_cycles_total" + run + " " + strconv.FormatUint(s.Cycles, 10) + "\n")
+		ew.Str("shredsim_instructions_total" + run + " " + strconv.FormatUint(s.Instructions, 10) + "\n")
+		ew.Str("shredsim_ipc" + run + " " + stats.FormatG(s.IPC) + "\n")
 
 		sets := make([]stats.SnapshotSet, len(s.Snap.Sets))
 		copy(sets, s.Snap.Sets)
 		sort.SliceStable(sets, func(i, j int) bool { return sets[i].Name < sets[j].Name })
 		for _, set := range sets {
 			for _, st := range set.Stats {
-				ew.str("shredsim_" + sanitize(set.Name) + "_" + sanitize(st.Name) + run +
-					" " + formatG(st.Value) + "\n")
+				ew.Str("shredsim_" + sanitize(set.Name) + "_" + sanitize(st.Name) + run +
+					" " + stats.FormatG(st.Value) + "\n")
 			}
 		}
 		if s.Spans != nil {
 			writeSpanMetrics(ew, s.Run, s.Spans)
 		}
 	}
-	return ew.err
+	return ew.Err
 }
 
 // writeSpanMetrics emits the latency-provenance aggregate: per-op span
 // counts and cycles with the per-layer busy-cycle split, then the same
 // count/cycles pair per tenant.
-func writeSpanMetrics(ew *errWriter, run string, agg *span.Agg) {
+func writeSpanMetrics(ew *stats.ErrWriter, run string, agg *span.Agg) {
 	for op := span.Op(0); op < span.OpCount; op++ {
 		a := &agg.Total[op]
 		if a.Count == 0 {
 			continue
 		}
 		labels := `{run="` + run + `",op="` + op.String() + `"}`
-		ew.str("shredsim_span_count" + labels + " " + strconv.FormatUint(a.Count, 10) + "\n")
-		ew.str("shredsim_span_cycles_total" + labels + " " + strconv.FormatUint(a.Cycles, 10) + "\n")
+		ew.Str("shredsim_span_count" + labels + " " + strconv.FormatUint(a.Count, 10) + "\n")
+		ew.Str("shredsim_span_cycles_total" + labels + " " + strconv.FormatUint(a.Cycles, 10) + "\n")
 		for l := span.Layer(0); l < span.LayerCount; l++ {
 			if a.Seg[l] == 0 {
 				continue
 			}
-			ew.str(`shredsim_span_layer_cycles_total{run="` + run + `",op="` + op.String() +
+			ew.Str(`shredsim_span_layer_cycles_total{run="` + run + `",op="` + op.String() +
 				`",layer="` + l.String() + `"} ` + strconv.FormatUint(a.Seg[l], 10) + "\n")
 		}
 	}
@@ -101,8 +101,8 @@ func writeSpanMetrics(ew *errWriter, run string, agg *span.Agg) {
 				continue
 			}
 			labels := `{run="` + run + `",tenant="` + strconv.Itoa(int(id)) + `",op="` + op.String() + `"}`
-			ew.str("shredsim_span_tenant_count" + labels + " " + strconv.FormatUint(a.Count, 10) + "\n")
-			ew.str("shredsim_span_tenant_cycles_total" + labels + " " + strconv.FormatUint(a.Cycles, 10) + "\n")
+			ew.Str("shredsim_span_tenant_count" + labels + " " + strconv.FormatUint(a.Count, 10) + "\n")
+			ew.Str("shredsim_span_tenant_cycles_total" + labels + " " + strconv.FormatUint(a.Cycles, 10) + "\n")
 		}
 	}
 }
@@ -157,18 +157,4 @@ func sanitize(s string) string {
 		}
 	}
 	return b.String()
-}
-
-func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
 }
